@@ -380,14 +380,17 @@ def _crossing_graph_connected(d: Diagram, removed: frozenset[int]) -> bool:
 
 
 def _find_two_edge_cut(d: Diagram) -> tuple[int, int] | None:
-    # Quadratic pair scan; desk-scale diagrams keep this cheap.  Loop arcs
-    # never separate crossings, so they are skipped outright.
-    labels = [a for a, (e1, e2) in sorted(d.arcs.items()) if e1[0] != e2[0]]
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            if not _crossing_graph_connected(d, removed=frozenset((a, b))):
-                return (a, b)
-    return None
+    # The least pair of arcs whose removal disconnects a connected diagram.
+    # A 4-valent graph has no bridge, so a 2-edge cut is a minimal cut, and in
+    # a plane graph that is a pair of arcs bordering the same two faces (their
+    # dual edges form a 2-cycle).  Loop arcs never separate crossings, so they
+    # are skipped outright.  Linear in the number of arcs.
+    by_faces: dict[tuple[int, int], list[int]] = {}
+    for a, (e1, e2) in sorted(d.arcs.items()):
+        if e1[0] != e2[0]:
+            by_faces.setdefault(d.arc_faces[a], []).append(a)
+    return min(((arcs[0], arcs[1]) for arcs in by_faces.values() if len(arcs) > 1),
+               default=None)
 
 
 # ----------------------------------------------------------------------------

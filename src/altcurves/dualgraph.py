@@ -85,14 +85,16 @@ def build_dual(d: Diagram) -> AugmentedDualGraph:
     """Assemble the augmented dual graph of a validated diagram.
 
     Raises:
-        PreconditionError: the diagram fails validation, or an edge of either
-            kind would be a self-loop (impossible for reduced diagrams).
+        PreconditionError: the diagram fails validation (the error carries
+            the ValidationReport), or an edge of either kind would be a
+            self-loop (impossible for reduced diagrams).
     """
     report = validate(d)
     if not report.ok:
         raise PreconditionError(
             "dual graph requires a validated diagram; failures: "
-            + "; ".join(report.failures)
+            + "; ".join(report.failures),
+            report=report,
         )
 
     p_edges = {arc: faces for arc, faces in sorted(d.arc_faces.items())}

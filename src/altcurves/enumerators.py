@@ -13,7 +13,11 @@ Three layers, kept deliberately separate:
 
 Counting quotients ("three punctures determine the fourth", "two saddles
 determine the pair") are applied as dedup relations after generation, never
-as generation shortcuts, so the oracle can verify them.
+as generation shortcuts, so the oracle can verify them.  They are computed by
+bucketing, in time linear in the words quotiented.  The one constraint tested
+during PSPS generation is property 6: a walk failing it is dropped before it
+becomes a word, and is still tallied in the diagnostics exactly as
+`check_word` would tally it.
 
 The minus sphere of every emitted configuration mirrors the plus sphere:
 each saddle passes to the other sphere and the curve family closes up
@@ -22,8 +26,8 @@ symmetrically, so the mirror is the unique completion with the same letters.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .dualgraph import AugmentedDualGraph, SaddleChannel, Step
 from .errors import GuardAbort, TractabilityError
@@ -138,7 +142,14 @@ def classify_family(cfg: Configuration) -> str:
 # ----------------------------------------------------------------------------
 
 
-def _union_find_classes(items: list, related) -> list[list]:
+def _class_leaders(items: list, keys) -> list:
+    """The least member of each class of a sorted list, in order.
+
+    Two items are related when `keys` yields a common bucket for both; the
+    classes are the transitive closure.  Each item is united with the first
+    item seen in each of its buckets, so the cost is linear in the number of
+    keys rather than quadratic in the number of items.
+    """
     parent = list(range(len(items)))
 
     def find(i: int) -> int:
@@ -147,32 +158,30 @@ def _union_find_classes(items: list, related) -> list[list]:
             i = parent[i]
         return i
 
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if related(items[i], items[j]):
-                parent[find(i)] = find(j)
-
-    groups: dict[int, list] = {}
+    first: dict = {}
     for i, item in enumerate(items):
-        groups.setdefault(find(i), []).append(item)
-    return list(groups.values())
+        for key in keys(item):
+            j = first.setdefault(key, i)
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    return [item for i, item in enumerate(items) if find(i) == i]
 
 
 def puncture_class_representatives(words: list[CurveWord]) -> list[CurveWord]:
     """Quotient PPPP words by "three shared punctures determine the fourth".
 
     Words whose arc multisets agree in at least three of four positions are
-    identified; each class is returned by its least member.
+    identified; each class is returned by its least member.  Two multisets
+    share three elements exactly when they share a 3-element sub-multiset, so
+    each word is bucketed by its (at most four) sorted arc triples.
     """
     items = sorted(words, key=_word_key)
 
-    def shares_three(w1: CurveWord, w2: CurveWord) -> bool:
-        m1 = Counter(l.ref for l in w1.letters)
-        m2 = Counter(l.ref for l in w2.letters)
-        return sum(min(m1[a], m2[a]) for a in m1) >= 3
+    def triples(w: CurveWord):
+        return set(combinations(sorted(l.ref for l in w.letters), 3))
 
-    classes = _union_find_classes(items, shares_three)
-    return sorted((min(cls, key=_word_key) for cls in classes), key=_word_key)
+    return _class_leaders(items, triples)
 
 
 def saddle_pair_class_representatives(pairs: list[tuple[CurveWord, CurveWord]]):
@@ -185,20 +194,16 @@ def saddle_pair_class_representatives(pairs: list[tuple[CurveWord, CurveWord]]):
         (tuple(sorted(pair, key=_word_key)) for pair in pairs),
         key=lambda p: (_word_key(p[0]), _word_key(p[1])),
     )
+    return _class_leaders(items, lambda p: {_channels(w) for w in p})
 
-    def shares_channel_set(p1, p2) -> bool:
-        sets1 = {_channels(w) for w in p1}
-        sets2 = {_channels(w) for w in p2}
-        return bool(sets1 & sets2)
 
-    pair_key = lambda p: (_word_key(p[0]), _word_key(p[1]))
-    classes = _union_find_classes(items, shares_channel_set)
-    return sorted((min(cls, key=pair_key) for cls in classes), key=pair_key)
+def _bump(diagnostics: dict[int, int], prop: int) -> None:
+    diagnostics[prop] = diagnostics.get(prop, 0) + 1
 
 
 def _tally(diagnostics: dict[int, int], violations) -> None:
     for prop in {v.prop for v in violations}:
-        diagnostics[prop] = diagnostics.get(prop, 0) + 1
+        _bump(diagnostics, prop)
 
 
 # ----------------------------------------------------------------------------
@@ -218,6 +223,8 @@ def enumerate_pppp(g: AugmentedDualGraph) -> EnumerationResult:
             for step in g.steps_from(here):
                 if step.kind != "P":
                     continue
+                if letters and step.ref < letters[0].ref:
+                    continue  # a canonical word starts at its least arc
                 if letters and letters[-1].ref == step.ref:
                     continue  # immediate re-puncture, pruned by property 5
                 new_letters = letters + (Letter("P", step.ref),)
@@ -240,19 +247,33 @@ def enumerate_pppp(g: AugmentedDualGraph) -> EnumerationResult:
 
 
 def _psps_words(g: AugmentedDualGraph, diagnostics: dict[int, int]) -> list[CurveWord]:
+    # Every P-S adjacency of a PSPS walk is tested for property 6 as the walk
+    # grows, and only walks passing it reach canonicalize and check_word.  A
+    # PSPS walk can fail no property but 2 and 6, so a pruned walk is tallied
+    # exactly as check_word would tally it.
+    p_steps = {f: [s for s in g.steps_from(f) if s.kind == "P"] for f in g.nodes}
+    closing: dict[tuple[int, int], list[Step]] = {}  # S-steps by (from, to)
+    for f in g.nodes:
+        for s in g.steps_from(f):
+            if s.kind == "S":
+                closing.setdefault((f, s.dest), []).append(s)
+    ends = {arc: g.arc_crossings(arc) for arc in g.p_edges}
+
     seen: dict[tuple, CurveWord] = {}
     for start in g.nodes:
-        for p1 in g.steps_from(start):
-            if p1.kind != "P":
-                continue
+        for p1 in p_steps[start]:
             for s1 in g.steps_from(p1.dest):
                 if s1.kind != "S":
                     continue
-                for p2 in g.steps_from(s1.dest):
-                    if p2.kind != "P":
-                        continue
-                    for s2 in g.steps_from(p2.dest):
-                        if s2.kind != "S" or s2.dest != start:
+                bad_s1 = s1.ref.crossing in ends[p1.ref]
+                for p2 in p_steps[s1.dest]:
+                    bad_p2 = bad_s1 or s1.ref.crossing in ends[p2.ref]
+                    for s2 in closing.get((p2.dest, start), ()):
+                        c = s2.ref.crossing
+                        if bad_p2 or c in ends[p2.ref] or c in ends[p1.ref]:
+                            _bump(diagnostics, 6)
+                            if s1.ref == s2.ref:
+                                _bump(diagnostics, 2)
                             continue
                         word = canonicalize(CurveWord(
                             (Letter("P", p1.ref), Letter("S", s1.ref),
@@ -305,17 +326,15 @@ def enumerate_psps_pairs(g: AugmentedDualGraph) -> EnumerationResult:
 
 
 def enumerate_genus2(g: AugmentedDualGraph) -> EnumerationResult:
-    """Union of the two genus-2 families, checked against the cubic cap."""
+    """Union of the two genus-2 families.
+
+    The count is not checked here: `bounds.compare` reports it against the
+    2n^3 cap.
+    """
     pppp = enumerate_pppp(g)
     psps = enumerate_psps_pairs(g)
     configs = pppp.configurations + psps.configurations
-    n = g.diagram.n
     total = len(configs)
-    if total >= 2 * n**3:
-        raise AssertionError(
-            f"genus-2 configuration count {total} reached the 2n^3 cap "
-            f"({2 * n**3}) on an {n}-crossing diagram"
-        )
     diagnostics = dict(pppp.diagnostics)
     for prop, k in psps.diagnostics.items():
         diagnostics[prop] = diagnostics.get(prop, 0) + k

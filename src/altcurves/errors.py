@@ -16,7 +16,16 @@ class PlanarityError(ValueError):
 
 
 class PreconditionError(ValueError):
-    """An operation was called on data that fails its validation precondition."""
+    """An operation was called on data that fails its validation precondition.
+
+    Attributes:
+        report: the failing diagram ValidationReport when diagram validation
+            was the precondition, else None.
+    """
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class EulerInconsistencyError(ValueError):

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from altcurves import cli, dualgraph, enumerators
 from altcurves.cli import CONFIG_COLUMNS, REPORT_COLUMNS, main
+from altcurves.enumerators import EnumerationResult
 
 from conftest import FIXTURE_DIR, fixture_path
 
@@ -164,6 +166,42 @@ def test_report_invalid_member(capsys):
     out = capsys.readouterr().out
     assert "INVALID" in out
     assert "bounds_ok=True" in out
+
+
+def test_report_validates_each_diagram_once(monkeypatch, capsys):
+    calls = []
+    real = cli.validate
+
+    def counting_validate(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(cli, "validate", counting_validate)
+    monkeypatch.setattr(dualgraph, "validate", counting_validate)
+    assert main(["report", GRANNY, TREFOIL]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID (prime: arcs" in out
+    assert len(calls) == 2
+
+
+def test_over_cap_count_is_reported_not_raised(monkeypatch, capsys):
+    # the trefoil has n = 3, so 55 configurations exceed the 2n^3 = 54 cap
+    real = enumerators.enumerate_pppp
+
+    def over_cap(g):
+        configs = real(g).configurations[:1] * 55
+        counts = {"pppp": 55, "psps_pair": 0, "other": 0, "total": 55}
+        return EnumerationResult(configs, counts, {}, visited=0)
+
+    monkeypatch.setattr(enumerators, "enumerate_pppp", over_cap)
+    assert main(["bounds", TREFOIL]) == 1
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[1:]}
+    assert lines["configurations"].endswith("VIOLATED")
+    assert "55 <= 54" in lines["configurations"]
+    assert main(["report", TREFOIL]) == 1
+    out = capsys.readouterr().out
+    assert "configurations=55" in out
+    assert "bounds_ok=False" in out
 
 
 def test_report_empty_directory(tmp_path, capsys):

@@ -1,13 +1,31 @@
 """Parsing, face tracing, and diagram validation."""
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from altcurves.diagram import build_diagram, parse_pd, pd_text, validate
+from altcurves.diagram import (
+    _crossing_graph_connected,
+    _find_two_edge_cut,
+    build_diagram,
+    parse_pd,
+    pd_text,
+    validate,
+)
 from altcurves.errors import PdStructureError, PdSyntaxError
 
-from conftest import INVALID_NAMES, VALID_NAMES, fixture_text, load_diagram
+from conftest import (
+    INVALID_NAMES,
+    VALID_NAMES,
+    connected_sum_pd,
+    fixture_text,
+    load_diagram,
+    relabel,
+    two_bridge_pd,
+)
 
 TREFOIL = "X 1 4 2 5 / X 3 6 4 1 / X 5 2 6 3"
 
@@ -131,3 +149,45 @@ def test_fixture_headers_are_comments():
         text = fixture_text(name)
         assert text.startswith("#")
         parse_pd(text)
+
+
+def _two_edge_cut_by_scan(d):
+    # oracle: the O(e^3) scan that removes every pair of non-loop arcs in
+    # label order and reruns the connectivity test
+    labels = [a for a, (e1, e2) in sorted(d.arcs.items()) if e1[0] != e2[0]]
+    for i, a in enumerate(labels):
+        for b in labels[i + 1:]:
+            if not _crossing_graph_connected(d, removed=frozenset((a, b))):
+                return (a, b)
+    return None
+
+
+def _relabelled(text: str, seed: int):
+    return build_diagram(parse_pd(relabel(text, random.Random(seed))))
+
+
+@pytest.mark.parametrize("name", ["borromean", "granny", "kinked_trefoil"])
+def test_two_edge_cut_matches_scan_on_fixtures(name):
+    diagrams = [load_diagram(name)]
+    diagrams += [_relabelled(fixture_text(name), seed) for seed in range(20)]
+    for d in diagrams:
+        assert _find_two_edge_cut(d) == _two_edge_cut_by_scan(d)
+
+
+terms = st.lists(st.integers(1, 4), min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=terms, seed=st.integers(0, 2**32 - 1))
+def test_two_edge_cut_matches_scan_on_two_bridge(terms, seed):
+    d = _relabelled(two_bridge_pd(terms), seed)
+    assert _find_two_edge_cut(d) == _two_edge_cut_by_scan(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(summands=st.lists(terms, min_size=2, max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_two_edge_cut_matches_scan_on_connected_sums(summands, seed):
+    d = _relabelled(connected_sum_pd(*summands), seed)
+    cut = _find_two_edge_cut(d)
+    assert cut is not None
+    assert cut == _two_edge_cut_by_scan(d)

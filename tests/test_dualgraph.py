@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from altcurves.diagram import validate
 from altcurves.dualgraph import SaddleChannel, build_dual
 from altcurves.errors import PreconditionError
 
@@ -81,9 +82,13 @@ def test_build_requires_valid_diagram():
         ("kinked_trefoil", "reduced"),
         ("split_two_trefoils", "connected"),
     ):
+        d = load_diagram(name)
         with pytest.raises(PreconditionError) as err:
-            build_dual(load_diagram(name))
+            build_dual(d)
         assert keyword in str(err.value)
+        # the error carries the report, so callers need not validate again
+        assert err.value.report == validate(d)
+        assert not err.value.report.ok
 
 
 def test_debug_json_stable():

@@ -1,10 +1,16 @@
 """Enumeration: specialized families, general search, oracle agreement."""
 
+import random
+from collections import Counter
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from altcurves.dualgraph import SaddleChannel
+from altcurves import enumerators
+from altcurves.diagram import build_diagram, parse_pd
+from altcurves.dualgraph import SaddleChannel, build_dual
 from altcurves.enumerators import (
     EnumerationBudget,
     classify_family,
@@ -23,10 +29,11 @@ from altcurves.words import (
     Letter,
     check_configuration,
     check_word,
+    _word_key,
     serialize_word,
 )
 
-from conftest import TORUS_NAMES, VALID_NAMES, load_dual
+from conftest import TORUS_NAMES, VALID_NAMES, load_dual, relabel, two_bridge_pd
 
 # class counts certified against oracle_enumerate(max_len=4) on every fixture
 EXPECTED = {
@@ -243,3 +250,131 @@ def test_oracle_agreement_on_small_fixtures():
                      if classify_family(c) == "psps_pair")
         assert reps_p == s_p, name
         assert reps_s == s_s, name
+
+
+# ----------------------------------------------------------------------------
+# the bucketed quotients against the pairwise relations they replaced
+# ----------------------------------------------------------------------------
+
+
+def _pairwise_classes(items, related):
+    parent = list(range(len(items)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            if related(items[i], items[j]):
+                parent[find(i)] = find(j)
+    groups = {}
+    for i, item in enumerate(items):
+        groups.setdefault(find(i), []).append(item)
+    return list(groups.values())
+
+
+def _pairwise_puncture_reps(words):
+    items = sorted(words, key=_word_key)
+
+    def shares_three(w1, w2):
+        m1 = Counter(l.ref for l in w1.letters)
+        m2 = Counter(l.ref for l in w2.letters)
+        return sum(min(m1[a], m2[a]) for a in m1) >= 3
+
+    classes = _pairwise_classes(items, shares_three)
+    return sorted((min(c, key=_word_key) for c in classes), key=_word_key)
+
+
+def _channel_set(w):
+    return frozenset(l.ref for l in w.letters if l.kind == "S")
+
+
+def _pairwise_saddle_reps(pairs):
+    pair_key = lambda p: (_word_key(p[0]), _word_key(p[1]))
+    items = sorted((tuple(sorted(p, key=_word_key)) for p in pairs), key=pair_key)
+
+    def shares_channel_set(p1, p2):
+        return bool({_channel_set(w) for w in p1} & {_channel_set(w) for w in p2})
+
+    classes = _pairwise_classes(items, shares_channel_set)
+    return sorted((min(c, key=pair_key) for c in classes), key=pair_key)
+
+
+# few arcs, channels and faces, so that words collide often
+p_letters = st.builds(Letter, st.just("P"), st.integers(1, 6))
+s_letters = st.builds(Letter, st.just("S"),
+                      st.builds(SaddleChannel, st.integers(1, 3), st.sampled_from("AB")))
+
+
+def _words(letters, min_size, max_size):
+    # the face offset makes equal letters with different traces distinct words
+    return st.builds(
+        lambda ls, f: CurveWord(tuple(ls), tuple((f + i) % 3 for i in range(len(ls)))),
+        st.lists(letters, min_size=min_size, max_size=max_size),
+        st.integers(0, 2),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_words(p_letters, 4, 4), _words(p_letters, 1, 6)), max_size=30))
+def test_puncture_quotient_equals_pairwise(words):
+    assert puncture_class_representatives(words) == _pairwise_puncture_reps(words)
+
+
+psps_like = _words(st.one_of(p_letters, s_letters), 1, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(psps_like, psps_like), max_size=25))
+def test_saddle_pair_quotient_equals_pairwise(pairs):
+    assert saddle_pair_class_representatives(pairs) == _pairwise_saddle_reps(pairs)
+
+
+# ----------------------------------------------------------------------------
+# PSPS generation: the property-6 prune keeps the per-walk tally
+# ----------------------------------------------------------------------------
+
+
+def _psps_walks(g):
+    for start in g.nodes:
+        for p1 in g.steps_from(start):
+            for s1 in g.steps_from(p1.dest):
+                for p2 in g.steps_from(s1.dest):
+                    for s2 in g.steps_from(p2.dest):
+                        if (p1.kind, s1.kind, p2.kind, s2.kind) == tuple("PSPS") \
+                                and s2.dest == start:
+                            yield CurveWord(
+                                tuple(Letter(step.kind, step.ref) for step in (p1, s1, p2, s2)),
+                                (start, p1.dest, s1.dest, p2.dest),
+                            )
+
+
+@pytest.mark.parametrize("g", [
+    load_dual("borromean"),
+    load_dual("k7_7"),  # has walks failing property 6 only where s2 meets p1
+    build_dual(build_diagram(parse_pd(relabel(two_bridge_pd([9]), random.Random(3))))),
+], ids=["borromean", "k7_7", "torus_2_9"])
+def test_psps_diagnostics_equal_check_word_tally(g, monkeypatch):
+    tally: dict[int, int] = {}
+    passing_six = 0
+    for word in _psps_walks(g):
+        props = {v.prop for v in check_word(g, word)}
+        passing_six += 6 not in props
+        for prop in props:
+            tally[prop] = tally.get(prop, 0) + 1
+    assert tally
+
+    checked = []
+
+    def counting_check_word(graph, word):
+        checked.append(word)
+        return check_word(graph, word)
+
+    monkeypatch.setattr(enumerators, "check_word", counting_check_word)
+    result = enumerate_psps_pairs(g)
+    word_props = {2, 5, 6, 7, 8, 9}
+    assert {p: k for p, k in result.diagnostics.items() if p in word_props} == tally
+    # only walks passing property 6 are built into words and checked
+    assert len(checked) == passing_six

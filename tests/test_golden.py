@@ -1,0 +1,77 @@
+"""Byte-for-byte CLI output on the fixture corpus, against tests/golden/.
+
+Each case runs one CLI command in-process and compares its stdout, with the
+fixture directory written as "fixtures", to the file of the same name in
+tests/golden/; exit codes are kept in tests/golden/exit_codes.json.  The
+golden files record accepted output: regenerate them only for a deliberate
+output change, from the repository root, with
+
+    PYTHONPATH=src:tests python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from altcurves.cli import main
+
+from conftest import FIXTURE_DIR, INVALID_NAMES, VALID_NAMES, fixture_path
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
+
+
+def _cases() -> dict[str, list[str]]:
+    every = [str(fixture_path(name)) for name in VALID_NAMES + INVALID_NAMES]
+    cases = {
+        "report.json": ["report", "--format", "json",
+                        str(FIXTURE_DIR), str(FIXTURE_DIR / "invalid")],
+        "validate.json": ["validate", "--format", "json", *every],
+    }
+    for name in VALID_NAMES:
+        cases[f"enumerate-{name}.json"] = [
+            "enumerate", "--genus", "2", "--format", "json", str(fixture_path(name)),
+        ]
+    return cases
+
+
+def run_case(argv: list[str]) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue().replace(str(FIXTURE_DIR), "fixtures")
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, monkeypatch):
+    monkeypatch.delenv("ALTCURVES_GUARD_CAP", raising=False)
+    code, out = run_case(CASES[name])
+    assert out == (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    assert code == json.loads(EXIT_CODES.read_text(encoding="utf-8"))[name]
+
+
+def test_golden_dir_has_no_strays():
+    on_disk = {p.name for p in GOLDEN_DIR.iterdir()} - {EXIT_CODES.name}
+    assert on_disk == set(CASES)
+
+
+def _write_golden() -> None:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    codes = {}
+    for name, argv in sorted(CASES.items()):
+        codes[name], out = run_case(argv)
+        (GOLDEN_DIR / name).write_text(out, encoding="utf-8")
+    EXIT_CODES.write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n",
+                          encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _write_golden()
