@@ -31,6 +31,7 @@ from .enumerators import (
     DEFAULT_GUARD_CAP,
     EnumerationBudget,
     EnumerationResult,
+    budgets,
     classify_family,
     enumerate_general,
     enumerate_genus2,
@@ -49,11 +50,9 @@ from .errors import (
 )
 from .euler import (
     PolygonComplex,
-    budgets,
     build_polygon_complex,
     euler_characteristic,
     euler_crosscheck,
-    genus_bound_from_chi,
     polygon_contribution,
 )
 from .render import render_diagram
@@ -74,7 +73,6 @@ from .words import (
     canonicalize,
     check_configuration,
     check_word,
-    complexity,
     is_canonical,
     make_configuration,
     serialize_word,

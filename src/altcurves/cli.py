@@ -6,7 +6,7 @@ optionally in parallel and with rendered SVGs), render (one diagram to SVG).
 
 Exit codes: 0 success, 1 domain failure (invalid diagram, violated bound),
 2 input problem (unreadable file, parse error, bad arguments), 3 guard abort
-(enumeration exceeded its visited-walk cap).
+(`enumerate` only: the general search exceeded its visited-walk cap).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -26,7 +25,7 @@ from .diagram import Diagram, build_diagram, parse_pd, validate
 from .dualgraph import build_dual
 from .enumerators import (
     DEFAULT_GUARD_CAP,
-    EnumerationResult,
+    budgets,
     classify_family,
     enumerate_general,
     enumerate_genus2,
@@ -38,7 +37,7 @@ from .errors import (
     PlanarityError,
     PreconditionError,
 )
-from .euler import budgets, euler_crosscheck
+from .euler import euler_crosscheck
 from .render import render_diagram
 from .tubing import configuration_tubing_count
 from .words import serialize_word
@@ -65,18 +64,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
-
-
-def _guard_cap(args) -> int:
-    if getattr(args, "guard_cap", None) is not None:
-        return args.guard_cap
-    env = os.environ.get("ALTCURVES_GUARD_CAP")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise PdSyntaxError(f"ALTCURVES_GUARD_CAP must be an integer, got {env!r}")
-    return DEFAULT_GUARD_CAP
 
 
 def _config_row(cfg) -> dict:
@@ -146,13 +133,6 @@ def cmd_validate(args) -> int:
 # ----------------------------------------------------------------------------
 
 
-def _run_enumeration(d: Diagram, genus: int, patterns, guard_cap: int) -> EnumerationResult:
-    dual = build_dual(d)
-    if genus == 2 and not patterns:
-        return enumerate_genus2(dual)
-    return enumerate_general(dual, budgets(genus), patterns=patterns, guard_cap=guard_cap)
-
-
 def _parse_patterns(raw: str | None):
     if raw is None:
         return None
@@ -167,8 +147,13 @@ def _parse_patterns(raw: str | None):
 
 def cmd_enumerate(args) -> int:
     d = _load(args.path)
-    result = _run_enumeration(d, args.genus, _parse_patterns(args.patterns),
-                              _guard_cap(args))
+    patterns = _parse_patterns(args.patterns)
+    dual = build_dual(d)
+    if args.genus == 2 and not patterns:
+        result = enumerate_genus2(dual)
+    else:
+        result = enumerate_general(dual, budgets(args.genus), patterns=patterns,
+                                   guard_cap=args.guard_cap)
     rows = [_config_row(cfg) for cfg in result.configurations]
     summary = {
         "type": "summary",
@@ -210,7 +195,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_bounds(args) -> int:
     d = _load(args.path)
-    result = _run_enumeration(d, 2, None, _guard_cap(args))
+    result = enumerate_genus2(build_dual(d))
     report = compare(d.n, result)
     if args.format == "json":
         _emit(_json_line({
@@ -250,7 +235,7 @@ def _collect_paths(raw_paths) -> list[str]:
     return sorted(dict.fromkeys(files))
 
 
-def _report_row(path: str, guard_cap: int) -> dict:
+def _report_row(path: str) -> dict:
     d = _load(path)
     row = {
         "path": path,
@@ -267,7 +252,7 @@ def _report_row(path: str, guard_cap: int) -> dict:
     try:
         # build_dual validates the diagram; the error it raises for an
         # invalid one carries the report, so each row validates once
-        result = _run_enumeration(d, 2, None, guard_cap)
+        result = enumerate_genus2(build_dual(d))
     except PreconditionError as e:
         if e.report is None:
             raise
@@ -290,15 +275,12 @@ def cmd_report(args) -> int:
     if not files:
         print("error: no .pd diagrams found", file=sys.stderr)
         return 2
-    guard_cap = _guard_cap(args)
 
     def safe_row(path: str):
         try:
-            return _report_row(path, guard_cap)
+            return _report_row(path)
         except (OSError, PdSyntaxError, PdStructureError, PlanarityError) as e:
-            return ("input-error", path, str(e))
-        except GuardAbort as e:
-            return ("guard", path, str(e))
+            return (path, str(e))
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -309,9 +291,9 @@ def cmd_report(args) -> int:
     rows = []
     for outcome in outcomes:
         if isinstance(outcome, tuple):
-            kind, path, message = outcome
+            path, message = outcome
             print(f"error: {path}: {message}", file=sys.stderr)
-            return 3 if kind == "guard" else 2
+            return 2
         rows.append(outcome)
 
     if args.render is not None:
@@ -362,7 +344,7 @@ def cmd_render(args) -> int:
     d = _load(args.path)
     cfg = None
     if args.config is not None:
-        result = _run_enumeration(d, 2, None, _guard_cap(args))
+        result = enumerate_genus2(build_dual(d))
         if not 0 <= args.config < len(result.configurations):
             raise PdSyntaxError(
                 f"configuration index {args.config} out of range "
@@ -397,16 +379,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--genus", type=int, default=2)
     p_enum.add_argument("--patterns", default=None,
                         help="comma-separated P/S skeletons, e.g. PPPP,PSPS")
-    p_enum.add_argument("--guard-cap", type=int, default=None,
-                        help=f"visited-walk cap (default {DEFAULT_GUARD_CAP}, "
-                             "env ALTCURVES_GUARD_CAP)")
+    p_enum.add_argument("--guard-cap", type=int, default=DEFAULT_GUARD_CAP,
+                        help="partial walks the general search (genus above 2, "
+                             "or --patterns) may visit before it aborts with "
+                             "exit code 3 (default %(default)s)")
     p_enum.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_enum.add_argument("--out", default=None)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_bounds = sub.add_parser("bounds", help="compare genus-2 counts to their caps")
     p_bounds.add_argument("path", metavar="FILE.pd")
-    p_bounds.add_argument("--guard-cap", type=int, default=None)
     p_bounds.add_argument("--format", choices=("text", "json"), default="text")
     p_bounds.add_argument("--out", default=None)
     p_bounds.set_defaults(func=cmd_bounds)
@@ -414,7 +396,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("report", help="summarize a corpus of diagrams")
     p_rep.add_argument("paths", nargs="+", metavar="PATH")
     p_rep.add_argument("--jobs", type=int, default=1)
-    p_rep.add_argument("--guard-cap", type=int, default=None)
     p_rep.add_argument("--render", default=None, metavar="DIR",
                        help="also write one SVG per valid diagram")
     p_rep.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -425,7 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ren.add_argument("path", metavar="FILE.pd")
     p_ren.add_argument("--config", type=int, default=None,
                        help="overlay this genus-2 configuration (by index)")
-    p_ren.add_argument("--guard-cap", type=int, default=None)
     p_ren.add_argument("--out", default=None)
     p_ren.set_defaults(func=cmd_render)
 

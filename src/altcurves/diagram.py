@@ -152,14 +152,16 @@ def _crossings_from_json(blob: str) -> list[tuple[int, int, int, int]]:
         data = json.loads(blob)
     except json.JSONDecodeError as exc:
         raise PdSyntaxError(f"bad JSON PD input: {exc}") from exc
-    if not isinstance(data, dict) or "crossings" not in data:
-        raise PdSyntaxError('JSON PD input must be an object with a "crossings" key')
+    if not isinstance(data, dict) or not isinstance(data.get("crossings"), list):
+        raise PdSyntaxError('JSON PD input must be an object with a "crossings" list')
     rows = []
     for entry in data["crossings"]:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 4:
+        if not isinstance(entry, list) or len(entry) != 4:
             raise PdSyntaxError(f"crossing entry {entry!r} is not a 4-tuple")
-        if not all(isinstance(x, int) and x > 0 for x in entry):
-            raise PdSyntaxError(f"crossing entry {entry!r} has non-positive labels")
+        # bool is a subclass of int, but true is not an arc label
+        if not all(type(x) is int and x > 0 for x in entry):
+            raise PdSyntaxError(f"crossing entry {entry!r} has labels that are not "
+                                "positive integers")
         rows.append(tuple(entry))
     return rows
 

@@ -5,8 +5,9 @@ Three layers, kept deliberately separate:
 * specialized genus-2 enumerators for the two word families a genus-2 splitting
   allows: a single all-puncture 4-letter curve (PPPP) or a pair of
   puncture-saddle curves (PSPS) through opposite channels of two crossings;
-* a budget-driven general enumerator for closed even words subject to the
-  word and balance constraints;
+* a general enumerator for closed even words subject to the word and
+  balance constraints, bounded by the genus-g search budget (`budgets`) and
+  by a cap on the partial walks it visits (the guard, `DEFAULT_GUARD_CAP`);
 * a brute-force oracle that walks every closed path up to a small length and
   filters with the public checks only, used to confirm the specialized
   results on fixtures.
@@ -14,10 +15,16 @@ Three layers, kept deliberately separate:
 Counting quotients ("three punctures determine the fourth", "two saddles
 determine the pair") are applied as dedup relations after generation, never
 as generation shortcuts, so the oracle can verify them.  They are computed by
-bucketing, in time linear in the words quotiented.  The one constraint tested
-during PSPS generation is property 6: a walk failing it is dropped before it
-becomes a word, and is still tallied in the diagnostics exactly as
-`check_word` would tally it.
+bucketing, in time linear in the words quotiented.
+
+The genus-2 generators build only words that pass every word check, so they
+never call `check_word`.  PPPP walks skip immediate re-punctures (property 5)
+and close at four letters (property 9).  PSPS walks are tested for property 6
+as they grow; a walk failing it is dropped and tallied in the diagnostics
+exactly as `check_word` would tally it.  No other property can fail: a PSPS
+word has two punctures in two blocks (7, 8), length four (9), and its two
+saddles join faces of opposite checkerboard colours, so they never share a
+channel (2).
 
 The minus sphere of every emitted configuration mirrors the plus sphere:
 each saddle passes to the other sphere and the curve family closes up
@@ -26,7 +33,7 @@ symmetrically, so the mirror is the unique completion with the same letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .dualgraph import AugmentedDualGraph, SaddleChannel, Step
@@ -39,7 +46,6 @@ from .words import (
     check_configuration,
     check_word,
     make_configuration,
-    serialize_word,
     word_pattern,
     _word_key,
 )
@@ -48,6 +54,7 @@ __all__ = [
     "DEFAULT_GUARD_CAP",
     "EnumerationBudget",
     "EnumerationResult",
+    "budgets",
     "enumerate_pppp",
     "enumerate_psps_pairs",
     "enumerate_genus2",
@@ -63,18 +70,29 @@ DEFAULT_GUARD_CAP = 10_000_000
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Search limits for a genus-g run.
+    """Search limits for a genus-g run; `budgets` gives the ones a genus needs.
 
     max_punctures caps total plus-sphere punctures (also the length cap for
     all-puncture words), max_curves caps curves per sphere, max_word_length
-    caps any single word, max_compressions is carried for reporting.
+    caps any single word.  genus records which genus the limits are for.
     """
 
     genus: int
     max_punctures: int
     max_curves: int
     max_word_length: int
-    max_compressions: int
+
+
+def budgets(genus: int) -> EnumerationBudget:
+    """Search budget that any genus-g splitting surface must fit inside."""
+    if genus < 2:
+        raise ValueError(f"splitting surfaces start at genus 2, got {genus}")
+    return EnumerationBudget(
+        genus=genus,
+        max_punctures=4 * genus - 4,
+        max_curves=2 * genus - 2,
+        max_word_length=20 * genus - 16,
+    )
 
 
 @dataclass(frozen=True)
@@ -213,7 +231,6 @@ def _tally(diagnostics: dict[int, int], violations) -> None:
 
 def enumerate_pppp(g: AugmentedDualGraph) -> EnumerationResult:
     """All-puncture 4-letter curves, up to symmetry and the 3-puncture rule."""
-    diagnostics: dict[int, int] = {}
     seen: dict[tuple, CurveWord] = {}
     for start in g.nodes:
         stack = [((), (start,))]
@@ -232,10 +249,6 @@ def enumerate_pppp(g: AugmentedDualGraph) -> EnumerationResult:
                     if step.dest != start or new_letters[0].ref == step.ref:
                         continue
                     word = canonicalize(CurveWord(new_letters, faces))
-                    bad = check_word(g, word)
-                    if bad:
-                        _tally(diagnostics, bad)
-                        continue
                     seen.setdefault(_word_key(word), word)
                 else:
                     stack.append((new_letters, faces + (step.dest,)))
@@ -243,14 +256,12 @@ def enumerate_pppp(g: AugmentedDualGraph) -> EnumerationResult:
     reps = puncture_class_representatives(list(seen.values()))
     configs = tuple(make_configuration([w], mirror=True) for w in reps)
     counts = {"pppp": len(configs), "psps_pair": 0, "other": 0, "total": len(configs)}
-    return EnumerationResult(configs, counts, diagnostics, visited=0)
+    return EnumerationResult(configs, counts, {}, visited=0)
 
 
 def _psps_words(g: AugmentedDualGraph, diagnostics: dict[int, int]) -> list[CurveWord]:
     # Every P-S adjacency of a PSPS walk is tested for property 6 as the walk
-    # grows, and only walks passing it reach canonicalize and check_word.  A
-    # PSPS walk can fail no property but 2 and 6, so a pruned walk is tallied
-    # exactly as check_word would tally it.
+    # grows; a walk passing it passes every word check (module docstring).
     p_steps = {f: [s for s in g.steps_from(f) if s.kind == "P"] for f in g.nodes}
     closing: dict[tuple[int, int], list[Step]] = {}  # S-steps by (from, to)
     for f in g.nodes:
@@ -272,18 +283,12 @@ def _psps_words(g: AugmentedDualGraph, diagnostics: dict[int, int]) -> list[Curv
                         c = s2.ref.crossing
                         if bad_p2 or c in ends[p2.ref] or c in ends[p1.ref]:
                             _bump(diagnostics, 6)
-                            if s1.ref == s2.ref:
-                                _bump(diagnostics, 2)
                             continue
                         word = canonicalize(CurveWord(
                             (Letter("P", p1.ref), Letter("S", s1.ref),
                              Letter("P", p2.ref), Letter("S", s2.ref)),
                             (start, p1.dest, s1.dest, p2.dest),
                         ))
-                        bad = check_word(g, word)
-                        if bad:
-                            _tally(diagnostics, bad)
-                            continue
                         seen.setdefault(_word_key(word), word)
     return sorted(seen.values(), key=_word_key)
 
@@ -392,7 +397,7 @@ def _general_words(
                     seen.setdefault(_word_key(word), word)
         if length == max_len:
             return
-        kinds_prefix = "".join(l.kind for l in letters)
+        kinds_prefix = "" if rotations is None else "".join(l.kind for l in letters)
         for step in g.steps_from(here):
             if rotations is not None:
                 want = kinds_prefix + step.kind
@@ -435,7 +440,8 @@ def enumerate_general(
     configurations take up to max_curves words per sphere with total plus
     punctures within budget and balanced channels.  `patterns` optionally
     restricts the P/S skeletons (up to rotation).  Search effort is capped by
-    `guard_cap` visited partial walks; exceeding it raises GuardAbort.
+    `guard_cap` visited partial walks (word walks and configuration
+    assemblies); exceeding it raises GuardAbort.
     """
     guard = _Guard(guard_cap)
     diagnostics: dict[int, int] = {}

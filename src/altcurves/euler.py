@@ -12,7 +12,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enumerators import EnumerationBudget
 from .errors import EulerInconsistencyError
 from .words import Configuration, CurveWord
 
@@ -22,8 +21,6 @@ __all__ = [
     "PolygonComplex",
     "build_polygon_complex",
     "euler_crosscheck",
-    "budgets",
-    "genus_bound_from_chi",
 ]
 
 
@@ -120,29 +117,3 @@ def euler_crosscheck(cfg: Configuration) -> int:
             f"complex gives chi {complex_.chi} but polygon contributions give {direct}"
         )
     return direct
-
-
-def budgets(genus: int) -> EnumerationBudget:
-    """Search budget that any genus-g splitting surface must fit inside."""
-    if genus < 2:
-        raise ValueError(f"splitting surfaces start at genus 2, got {genus}")
-    return EnumerationBudget(
-        genus=genus,
-        max_punctures=4 * genus - 4,
-        max_curves=2 * genus - 2,
-        max_word_length=20 * genus - 16,
-        max_compressions=2 * genus - 2,
-    )
-
-
-def genus_bound_from_chi(chi: int, punctures: int) -> int:
-    """Least genus (at least 2) whose closed surface the configuration fits.
-
-    Capping each puncture with a disk raises the characteristic by one;
-    the result is the smallest g >= 2 with 2 - 2g <= capped chi <= 2g - 2.
-    """
-    capped = chi + punctures
-    g = 2
-    while not (2 - 2 * g <= capped <= 2 * g - 2):
-        g += 1
-    return g

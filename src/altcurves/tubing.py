@@ -71,29 +71,29 @@ def _arc_gaps(i: int, j: int, side: int, total: int) -> frozenset[int]:
     return frozenset(range(total)) - forward
 
 
-def _laminar(gapsets: list[frozenset[int]]) -> bool:
-    for a, b in itertools.combinations(gapsets, 2):
-        meet = a & b
-        if meet and meet != a and meet != b:
-            return False
-    return True
-
-
 def enumerate_circle_tubings(punctures: int) -> tuple[TubingPlan, ...]:
-    """All tubings of one circle, in a deterministic order."""
+    """All tubings of one circle, in a deterministic order.
+
+    The routed arcs of a tubing are nested or disjoint exactly when some gap
+    lies on none of them, so each routing is the one that keeps every tube
+    off a chosen gap.  The k tubes cut the circle's gaps into k + 1 regions,
+    one routing each.  Per matching, plans come in increasing order of their
+    side vectors.
+    """
     if punctures < 0 or punctures % 2:
         raise ValueError("a circle carries an even number of punctures")
     if punctures == 0:
         return (TubingPlan(()),)
     plans = []
     for matching in noncrossing_matchings(tuple(range(punctures))):
-        for sides in itertools.product((0, 1), repeat=len(matching)):
-            gapsets = [_arc_gaps(i, j, side, punctures)
-                       for (i, j), side in zip(matching, sides)]
-            if _laminar(gapsets):
-                plans.append(TubingPlan(tuple(
-                    (i, j, side) for (i, j), side in zip(matching, sides)
-                )))
+        routings = {
+            tuple(int(g in _arc_gaps(i, j, 0, punctures)) for i, j in matching)
+            for g in range(punctures)
+        }
+        for sides in sorted(routings):
+            plans.append(TubingPlan(tuple(
+                (i, j, side) for (i, j), side in zip(matching, sides)
+            )))
     return tuple(plans)
 
 

@@ -37,7 +37,6 @@ from .errors import PreconditionError
 __all__ = [
     "Letter",
     "CurveWord",
-    "CanonicalWord",
     "Violation",
     "Configuration",
     "canonicalize",
@@ -47,7 +46,6 @@ __all__ = [
     "check_word",
     "check_configuration",
     "make_configuration",
-    "complexity",
     "has_consecutive_saddles",
 ]
 
@@ -102,20 +100,29 @@ class CurveWord:
         return CurveWord(letters, faces)
 
 
-CanonicalWord = CurveWord  # a CurveWord fixed by `canonicalize`
-
-
 def _word_key(w: CurveWord) -> tuple:
     return (tuple(l.sort_key for l in w.letters), w.faces)
 
 
-def canonicalize(w: CurveWord) -> CanonicalWord:
-    """Least representative over all rotations of both directions."""
-    candidates = []
+def canonicalize(w: CurveWord) -> CurveWord:
+    """Least representative over all rotations of both directions.
+
+    The letter sort keys are computed once per direction, and only the least
+    rotation by `_word_key` is built as a word.  A least rotation starts at a
+    least letter, so only those rotations are compared.
+    """
+    best = None
     for base in (w, w.reversed()):
-        for r in range(len(base)):
-            candidates.append(base.rotated(r))
-    return min(candidates, key=_word_key)
+        keys = tuple(l.sort_key for l in base.letters)
+        first = min(keys)
+        for r in range(len(keys)):
+            if keys[r] != first:
+                continue
+            key = (keys[r:] + keys[:r], base.faces[r:] + base.faces[:r])
+            if best is None or key < best[0]:
+                best = (key, base, r)
+    _, base, r = best
+    return base.rotated(r)
 
 
 def is_canonical(w: CurveWord) -> bool:
@@ -225,8 +232,8 @@ class Configuration:
     counts curves on both spheres.  |F| = p + s + c is the complexity.
     """
 
-    words_plus: tuple[CanonicalWord, ...]
-    words_minus: tuple[CanonicalWord, ...] = field(default=())
+    words_plus: tuple[CurveWord, ...]
+    words_minus: tuple[CurveWord, ...] = field(default=())
 
     @property
     def p(self) -> int:
@@ -243,10 +250,6 @@ class Configuration:
     @property
     def complexity(self) -> int:
         return self.p + self.s + self.c
-
-
-def complexity(cfg: Configuration) -> int:
-    return cfg.complexity
 
 
 def make_configuration(

@@ -3,6 +3,7 @@
 Each test is self-contained and prints one pass/fail line under pytest -v.
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -20,6 +21,7 @@ from altcurves.bounds import (
 from altcurves.cli import main
 from altcurves.dualgraph import SaddleChannel
 from altcurves.enumerators import (
+    budgets,
     classify_family,
     enumerate_genus2,
     oracle_enumerate,
@@ -27,17 +29,19 @@ from altcurves.enumerators import (
     saddle_pair_class_representatives,
 )
 from altcurves.euler import (
-    budgets,
     build_polygon_complex,
     euler_characteristic,
     polygon_contribution,
 )
 from altcurves.tubing import (
     PunctureCircle,
+    TubingPlan,
+    _arc_gaps,
     closed_surface_upper_bound,
     count_tubings,
     enumerate_circle_tubings,
     enumerate_tubings,
+    noncrossing_matchings,
 )
 from altcurves.words import (
     Configuration,
@@ -53,10 +57,8 @@ from conftest import FIXTURE_DIR, VALID_NAMES, load_diagram, load_dual
 
 def test_exact_formula_values():
     b2, b3 = budgets(2), budgets(3)
-    assert (b2.max_punctures, b2.max_curves, b2.max_word_length,
-            b2.max_compressions) == (4, 2, 24, 2)
-    assert (b3.max_punctures, b3.max_curves, b3.max_word_length,
-            b3.max_compressions) == (8, 4, 44, 4)
+    assert (b2.max_punctures, b2.max_curves, b2.max_word_length) == (4, 2, 24)
+    assert (b3.max_punctures, b3.max_curves, b3.max_word_length) == (8, 4, 44)
     assert genus2_config_bound(3) == 54
     assert genus2_surface_bound(3) == 324
     assert count_tubings(2) == 6
@@ -240,9 +242,34 @@ def test_euler_accounting_consistent():
     assert families == {"pppp", "psps_pair"}
 
 
+def _laminar(gapsets):
+    for a, b in itertools.combinations(gapsets, 2):
+        meet = a & b
+        if meet and meet != a and meet != b:
+            return False
+    return True
+
+
+def _brute_force_tubings(punctures):
+    # every side vector of every matching, kept when laminar
+    plans = []
+    for matching in noncrossing_matchings(tuple(range(punctures))):
+        for sides in itertools.product((0, 1), repeat=len(matching)):
+            tubes = tuple((i, j, side) for (i, j), side in zip(matching, sides))
+            if _laminar([_arc_gaps(i, j, side, punctures) for i, j, side in tubes]):
+                plans.append(TubingPlan(tubes))
+    return tuple(plans)
+
+
 def test_tubing_plan_counts():
     for k in range(9):
-        assert len(enumerate_circle_tubings(2 * k)) == comb(2 * k, k), k
+        plans = enumerate_circle_tubings(2 * k)
+        assert len(plans) == comb(2 * k, k), k
+        assert len(set(plans)) == len(plans), k
+        for plan in plans:
+            assert _laminar([_arc_gaps(i, j, side, 2 * k) for i, j, side in plan.tubes]), plan
+        if 0 < k <= 5:
+            assert plans == _brute_force_tubings(2 * k), k
     joint = enumerate_tubings((PunctureCircle("a", 2), PunctureCircle("b", 2)))
     assert len(joint) == 4
 

@@ -1,5 +1,6 @@
 """Command line behaviour: formats, exit codes, guard handling."""
 
+import argparse
 import json
 
 import pytest
@@ -13,11 +14,6 @@ from conftest import FIXTURE_DIR, fixture_path
 TREFOIL = str(fixture_path("k3_1"))
 BORROMEAN = str(fixture_path("borromean"))
 GRANNY = str(fixture_path("granny"))
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("ALTCURVES_GUARD_CAP", raising=False)
 
 
 def test_version(capsys):
@@ -61,6 +57,9 @@ def test_validate_parse_error(tmp_path, capsys):
     bad.write_text("X 1 2 3\n")
     assert main(["validate", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+    bad.write_text('{"crossings": 5}\n')
+    assert main(["validate", str(bad)]) == 2
+    assert '"crossings" list' in capsys.readouterr().err
 
 
 def test_enumerate_text(capsys):
@@ -116,20 +115,29 @@ def test_enumerate_bad_pattern(capsys):
 def test_enumerate_guard_flag(capsys):
     assert main(["enumerate", "--genus", "9", "--guard-cap", "2000", TREFOIL]) == 3
     assert "guard tripped" in capsys.readouterr().err
-
-
-def test_enumerate_guard_env(monkeypatch, capsys):
-    monkeypatch.setenv("ALTCURVES_GUARD_CAP", "2000")
-    assert main(["enumerate", "--genus", "9", TREFOIL]) == 3
-    capsys.readouterr()
-    # an explicit flag beats the environment
     assert main(["enumerate", "--genus", "3", "--guard-cap", "100000", TREFOIL]) == 0
+    assert "total=15" in capsys.readouterr().out
 
 
-def test_enumerate_guard_env_malformed(monkeypatch, capsys):
-    monkeypatch.setenv("ALTCURVES_GUARD_CAP", "plenty")
-    assert main(["enumerate", "--genus", "3", TREFOIL]) == 2
-    assert "ALTCURVES_GUARD_CAP" in capsys.readouterr().err
+# Every option string of every subcommand.  A new knob must be added here.
+CLI_SURFACE = {
+    "": ["--help", "--version", "-h"],
+    "validate": ["--format", "--help", "--out", "-h"],
+    "enumerate": ["--format", "--genus", "--guard-cap", "--help", "--out",
+                  "--patterns", "-h"],
+    "bounds": ["--format", "--help", "--out", "-h"],
+    "report": ["--format", "--help", "--jobs", "--out", "--render", "-h"],
+    "render": ["--config", "--help", "--out", "-h"],
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    parsers = {"": parser, **sub.choices}
+    surface = {name: sorted(s for a in p._actions for s in a.option_strings)
+               for name, p in parsers.items()}
+    assert surface == CLI_SURFACE
 
 
 def test_enumerate_genus3(capsys):

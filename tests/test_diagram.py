@@ -62,8 +62,12 @@ def test_parse_rejects_bad_grammar():
         parse_pd("Y 1 2 3 4")
     with pytest.raises(PdSyntaxError):
         parse_pd("X 1 2 3 four")
-    with pytest.raises(PdSyntaxError):
-        parse_pd('{"no_crossings": []}')
+    for blob in ('{"no_crossings": []}', '{"crossings": 5}', '{"crossings": null}',
+                 '{"crossings": {"X": [1, 2, 3, 4]}}',
+                 '{"crossings": [[true, 2, 3, 4], [1, 2, 3, 4]]}',
+                 '{"crossings": [[1.0, 2, 3, 4]]}'):
+        with pytest.raises(PdSyntaxError):
+            parse_pd(blob)
 
 
 def test_parse_rejects_bad_arc_multiplicity():

@@ -13,6 +13,7 @@ from altcurves.diagram import build_diagram, parse_pd
 from altcurves.dualgraph import SaddleChannel, build_dual
 from altcurves.enumerators import (
     EnumerationBudget,
+    budgets,
     classify_family,
     enumerate_general,
     enumerate_genus2,
@@ -23,7 +24,6 @@ from altcurves.enumerators import (
     saddle_pair_class_representatives,
 )
 from altcurves.errors import GuardAbort, TractabilityError
-from altcurves.euler import budgets
 from altcurves.words import (
     CurveWord,
     Letter,
@@ -97,8 +97,11 @@ def test_borromean_psps_pairs_use_opposite_channels():
 
 
 def test_emitted_configurations_are_clean():
-    for name in ("k3_1", "borromean", "k6_3"):
-        g = load_dual(name)
+    rng = random.Random(11)
+    duals = [load_dual(name) for name in ("k3_1", "borromean", "k6_3")]
+    duals += [build_dual(build_diagram(parse_pd(relabel(two_bridge_pd(terms), rng))))
+              for terms in ([9], [2, 3], [3, 1, 2], [2, 2, 2, 1])]
+    for g in duals:
         result = enumerate_genus2(g)
         for cfg in result.configurations:
             for w in cfg.words_plus + cfg.words_minus:
@@ -220,9 +223,8 @@ def test_guard_abort_carries_stats():
 
 
 def test_budget_fields():
-    b = EnumerationBudget(2, 4, 2, 24, 2)
-    assert (b.genus, b.max_punctures, b.max_curves,
-            b.max_word_length, b.max_compressions) == (2, 4, 2, 24, 2)
+    b = EnumerationBudget(2, 4, 2, 24)
+    assert (b.genus, b.max_punctures, b.max_curves, b.max_word_length) == (2, 4, 2, 24)
 
 
 def test_oracle_rejects_deep_scans():
@@ -358,10 +360,8 @@ def _psps_walks(g):
 ], ids=["borromean", "k7_7", "torus_2_9"])
 def test_psps_diagnostics_equal_check_word_tally(g, monkeypatch):
     tally: dict[int, int] = {}
-    passing_six = 0
     for word in _psps_walks(g):
         props = {v.prop for v in check_word(g, word)}
-        passing_six += 6 not in props
         for prop in props:
             tally[prop] = tally.get(prop, 0) + 1
     assert tally
@@ -376,5 +376,6 @@ def test_psps_diagnostics_equal_check_word_tally(g, monkeypatch):
     result = enumerate_psps_pairs(g)
     word_props = {2, 5, 6, 7, 8, 9}
     assert {p: k for p, k in result.diagnostics.items() if p in word_props} == tally
-    # only walks passing property 6 are built into words and checked
-    assert len(checked) == passing_six
+    # PSPS generation builds only words that pass every word check
+    assert checked == []
+    assert all(check_word(g, w) == [] for w in enumerators._psps_words(g, {}))

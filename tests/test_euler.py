@@ -5,14 +5,12 @@ from fractions import Fraction
 import pytest
 
 from altcurves.dualgraph import SaddleChannel
-from altcurves.enumerators import enumerate_genus2
+from altcurves.enumerators import budgets, enumerate_genus2
 from altcurves.errors import EulerInconsistencyError
 from altcurves.euler import (
-    budgets,
     build_polygon_complex,
     euler_characteristic,
     euler_crosscheck,
-    genus_bound_from_chi,
     polygon_contribution,
 )
 from altcurves.words import Configuration, CurveWord, Letter
@@ -77,18 +75,8 @@ def test_complex_counts_on_saddle_pair():
 
 def test_budget_values():
     b2 = budgets(2)
-    assert (b2.max_punctures, b2.max_curves, b2.max_word_length,
-            b2.max_compressions) == (4, 2, 24, 2)
+    assert (b2.max_punctures, b2.max_curves, b2.max_word_length) == (4, 2, 24)
     b3 = budgets(3)
-    assert (b3.max_punctures, b3.max_curves, b3.max_word_length,
-            b3.max_compressions) == (8, 4, 44, 4)
+    assert (b3.max_punctures, b3.max_curves, b3.max_word_length) == (8, 4, 44)
     with pytest.raises(ValueError, match="genus 2"):
         budgets(1)
-
-
-def test_genus_bound_from_chi():
-    assert genus_bound_from_chi(2, 0) == 2
-    assert genus_bound_from_chi(-2, 4) == 2
-    assert genus_bound_from_chi(-2, 0) == 2
-    assert genus_bound_from_chi(-6, 0) == 4
-    assert genus_bound_from_chi(-6, 2) == 3

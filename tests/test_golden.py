@@ -51,8 +51,7 @@ CASES = _cases()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name, monkeypatch):
-    monkeypatch.delenv("ALTCURVES_GUARD_CAP", raising=False)
+def test_cli_output_matches_golden(name):
     code, out = run_case(CASES[name])
     assert out == (GOLDEN_DIR / name).read_text(encoding="utf-8")
     assert code == json.loads(EXIT_CODES.read_text(encoding="utf-8"))[name]

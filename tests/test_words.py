@@ -13,7 +13,6 @@ from altcurves.words import (
     canonicalize,
     check_configuration,
     check_word,
-    complexity,
     has_consecutive_saddles,
     is_canonical,
     make_configuration,
@@ -88,6 +87,32 @@ def test_canonicalize_idempotent(idx):
     w = canonicalize(WALK_POOL[idx])
     assert is_canonical(w)
     assert canonicalize(w) == w
+
+
+def _canonical_by_all_rotations(w):
+    # the plain definition: every rotation of both directions, built as words
+    candidates = [base.rotated(r) for base in (w, w.reversed()) for r in range(len(w))]
+    return min(candidates, key=_word_key)
+
+
+# two letters and two faces, so that rotations tie on letters and faces decide
+tie_words = st.integers(1, 12).flatmap(lambda n: st.builds(
+    CurveWord,
+    st.lists(st.sampled_from([Letter("P", 1), Letter("S", SaddleChannel(1, "A"))]),
+             min_size=n, max_size=n).map(tuple),
+    st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple),
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_words)
+def test_canonicalize_matches_all_rotations(w):
+    assert canonicalize(w) == _canonical_by_all_rotations(w)
+
+
+def test_canonicalize_matches_all_rotations_on_walks():
+    for w in WALK_POOL:
+        assert canonicalize(w) == _canonical_by_all_rotations(w)
 
 
 def test_rotation_preserves_walk_shape():
@@ -177,7 +202,7 @@ def test_complexity_counts_both_spheres():
             if not check_word(g, w) and w.s_count == 0]
     cfg = make_configuration([pppp[0]], mirror=True)
     assert (cfg.p, cfg.s, cfg.c) == (4, 0, 2)
-    assert complexity(cfg) == 6
+    assert cfg.complexity == 6
 
 
 def test_configuration_balance_per_sphere():
