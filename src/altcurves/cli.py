@@ -300,6 +300,8 @@ def cmd_report(args) -> int:
         render_dir = Path(args.render)
         render_dir.mkdir(parents=True, exist_ok=True)
         for row in rows:
+            if not row["valid"]:
+                continue
             d = _load(row["path"])
             svg = render_diagram(d, title=Path(row["path"]).stem)
             (render_dir / (Path(row["path"]).stem + ".svg")).write_text(
@@ -360,6 +362,16 @@ def cmd_render(args) -> int:
 # ----------------------------------------------------------------------------
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0  # reported below, like any other value under 1
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="altcurves",
@@ -379,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--genus", type=int, default=2)
     p_enum.add_argument("--patterns", default=None,
                         help="comma-separated P/S skeletons, e.g. PPPP,PSPS")
-    p_enum.add_argument("--guard-cap", type=int, default=DEFAULT_GUARD_CAP,
+    p_enum.add_argument("--guard-cap", type=_positive_int, default=DEFAULT_GUARD_CAP,
                         help="partial walks the general search (genus above 2, "
                              "or --patterns) may visit before it aborts with "
                              "exit code 3 (default %(default)s)")

@@ -83,7 +83,6 @@ class Diagram:
 
     corner_map sends every (crossing, corner 0..3) to the face containing that
     corner; arc_faces sends an arc to the unordered pair of faces it borders.
-    components lists the arcs of each link component in traversal order.
     """
 
     pd: PdCode
@@ -91,7 +90,6 @@ class Diagram:
     faces: tuple[Face, ...]
     corner_map: dict[End, int]
     arc_faces: dict[int, tuple[int, int]]
-    components: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
@@ -100,9 +98,6 @@ class Diagram:
     @property
     def crossing_ids(self) -> range:
         return range(1, self.pd.n + 1)
-
-    def arcs_at(self, crossing: int) -> tuple[int, int, int, int]:
-        return self.pd.crossings[crossing - 1]
 
     def face_degrees(self) -> tuple[int, ...]:
         return tuple(sorted(f.degree for f in self.faces))
@@ -262,8 +257,7 @@ def build_diagram(pd: PdCode) -> Diagram:
     }
 
     _check_spherical(pd, arcs, faces)
-    components = _link_components(pd, arcs)
-    return Diagram(pd, arcs, tuple(faces), corner_map, arc_faces, components)
+    return Diagram(pd, arcs, tuple(faces), corner_map, arc_faces)
 
 
 def _check_spherical(pd: PdCode, arcs, faces) -> None:
@@ -293,31 +287,6 @@ def _check_spherical(pd: PdCode, arcs, faces) -> None:
                 f"component {sorted(crossings)} has v-e+f = {v}-{e}+{f} != 2; "
                 "rotation data is not a sphere diagram"
             )
-
-
-def _link_components(pd: PdCode, arcs) -> tuple[tuple[int, ...], ...]:
-    # The strand entering slot i leaves through slot i+2 mod 4.
-    def label_of(end: End) -> int:
-        return pd.crossings[end[0] - 1][end[1]]
-
-    def mate(end: End) -> End:
-        first, second = arcs[label_of(end)]
-        return second if end == first else first
-
-    seen: set[int] = set()
-    components: list[tuple[int, ...]] = []
-    for start_label in sorted(arcs):
-        if start_label in seen:
-            continue
-        walk: list[int] = []
-        end = arcs[start_label][0]
-        while label_of(end) not in seen:
-            seen.add(label_of(end))
-            walk.append(label_of(end))
-            arrival = mate(end)
-            end = (arrival[0], (arrival[1] + 2) % 4)
-        components.append(tuple(walk))
-    return tuple(components)
 
 
 # ----------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import Diagram, validate
 from .errors import PreconditionError
@@ -23,9 +24,11 @@ from .errors import PreconditionError
 __all__ = ["SaddleChannel", "Step", "AugmentedDualGraph", "build_dual"]
 
 
-@dataclass(frozen=True, order=True)
-class SaddleChannel:
-    """One side of a crossing's bubble: side 'A' (corners 0,2) or 'B' (1,3)."""
+class SaddleChannel(NamedTuple):
+    """One side of a crossing's bubble: side 'A' (corners 0,2) or 'B' (1,3).
+
+    Channels order by crossing, then side.
+    """
 
     crossing: int
     side: str

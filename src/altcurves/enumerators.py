@@ -29,11 +29,15 @@ channel (2).
 The minus sphere of every emitted configuration mirrors the plus sphere:
 each saddle passes to the other sphere and the curve family closes up
 symmetrically, so the mirror is the unique completion with the same letters.
+Each word is canonicalized once, when it is generated; `make_configuration`
+only sorts and mirrors canonical words.  Dedupe goes through sets, and the
+natural order of words and configurations is the canonical order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .dualgraph import AugmentedDualGraph, SaddleChannel, Step
@@ -47,7 +51,6 @@ from .words import (
     check_word,
     make_configuration,
     word_pattern,
-    _word_key,
 )
 
 __all__ = [
@@ -97,16 +100,24 @@ def budgets(genus: int) -> EnumerationBudget:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Configurations plus family counts and per-property rejection tallies."""
+    """Configurations plus per-property rejection tallies and guard visits.
+
+    `counts` is derived from the configurations: one entry per family of
+    `classify_family`, plus "total".  `visited` counts the partial walks
+    the general search's guard saw; the other enumerators leave it 0.
+    """
 
     configurations: tuple[Configuration, ...]
-    counts: dict[str, int]
     diagnostics: dict[int, int]
-    visited: int
+    visited: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.counts["total"]
+    @cached_property
+    def counts(self) -> dict[str, int]:
+        counts = {"pppp": 0, "psps_pair": 0, "other": 0}
+        for cfg in self.configurations:
+            counts[classify_family(cfg)] += 1
+        counts["total"] = len(self.configurations)
+        return counts
 
 
 class _Guard:
@@ -120,13 +131,6 @@ class _Guard:
         self.visited += 1
         if self.visited > self.cap:
             raise GuardAbort(self.visited, self.cap)
-
-
-def _config_key(cfg: Configuration) -> tuple:
-    return (
-        tuple(_word_key(w) for w in cfg.words_plus),
-        tuple(_word_key(w) for w in cfg.words_minus),
-    )
 
 
 def _channels(w: CurveWord) -> frozenset[SaddleChannel]:
@@ -194,7 +198,7 @@ def puncture_class_representatives(words: list[CurveWord]) -> list[CurveWord]:
     share three elements exactly when they share a 3-element sub-multiset, so
     each word is bucketed by its (at most four) sorted arc triples.
     """
-    items = sorted(words, key=_word_key)
+    items = sorted(words)
 
     def triples(w: CurveWord):
         return set(combinations(sorted(l.ref for l in w.letters), 3))
@@ -208,10 +212,7 @@ def saddle_pair_class_representatives(pairs: list[tuple[CurveWord, CurveWord]]):
     Pairs containing words with identical channel sets are identified; each
     class is returned by its least member.
     """
-    items = sorted(
-        (tuple(sorted(pair, key=_word_key)) for pair in pairs),
-        key=lambda p: (_word_key(p[0]), _word_key(p[1])),
-    )
+    items = sorted(tuple(sorted(pair)) for pair in pairs)
     return _class_leaders(items, lambda p: {_channels(w) for w in p})
 
 
@@ -231,7 +232,7 @@ def _tally(diagnostics: dict[int, int], violations) -> None:
 
 def enumerate_pppp(g: AugmentedDualGraph) -> EnumerationResult:
     """All-puncture 4-letter curves, up to symmetry and the 3-puncture rule."""
-    seen: dict[tuple, CurveWord] = {}
+    seen: set[CurveWord] = set()
     for start in g.nodes:
         stack = [((), (start,))]
         while stack:
@@ -248,15 +249,12 @@ def enumerate_pppp(g: AugmentedDualGraph) -> EnumerationResult:
                 if len(new_letters) == 4:
                     if step.dest != start or new_letters[0].ref == step.ref:
                         continue
-                    word = canonicalize(CurveWord(new_letters, faces))
-                    seen.setdefault(_word_key(word), word)
+                    seen.add(canonicalize(CurveWord(new_letters, faces)))
                 else:
                     stack.append((new_letters, faces + (step.dest,)))
 
-    reps = puncture_class_representatives(list(seen.values()))
-    configs = tuple(make_configuration([w], mirror=True) for w in reps)
-    counts = {"pppp": len(configs), "psps_pair": 0, "other": 0, "total": len(configs)}
-    return EnumerationResult(configs, counts, {}, visited=0)
+    reps = puncture_class_representatives(list(seen))
+    return EnumerationResult(tuple(make_configuration([w]) for w in reps), {})
 
 
 def _psps_words(g: AugmentedDualGraph, diagnostics: dict[int, int]) -> list[CurveWord]:
@@ -270,7 +268,7 @@ def _psps_words(g: AugmentedDualGraph, diagnostics: dict[int, int]) -> list[Curv
                 closing.setdefault((f, s.dest), []).append(s)
     ends = {arc: g.arc_crossings(arc) for arc in g.p_edges}
 
-    seen: dict[tuple, CurveWord] = {}
+    seen: set[CurveWord] = set()
     for start in g.nodes:
         for p1 in p_steps[start]:
             for s1 in g.steps_from(p1.dest):
@@ -284,13 +282,12 @@ def _psps_words(g: AugmentedDualGraph, diagnostics: dict[int, int]) -> list[Curv
                         if bad_p2 or c in ends[p2.ref] or c in ends[p1.ref]:
                             _bump(diagnostics, 6)
                             continue
-                        word = canonicalize(CurveWord(
+                        seen.add(canonicalize(CurveWord(
                             (Letter("P", p1.ref), Letter("S", s1.ref),
                              Letter("P", p2.ref), Letter("S", s2.ref)),
                             (start, p1.dest, s1.dest, p2.dest),
-                        ))
-                        seen.setdefault(_word_key(word), word)
-    return sorted(seen.values(), key=_word_key)
+                        )))
+    return sorted(seen)
 
 
 def enumerate_psps_pairs(g: AugmentedDualGraph) -> EnumerationResult:
@@ -306,28 +303,22 @@ def enumerate_psps_pairs(g: AugmentedDualGraph) -> EnumerationResult:
     for w in words:
         by_channel_set.setdefault(_channels(w), []).append(w)
 
-    pairs = []
-    pair_seen: set[tuple] = set()
+    pairs: set[tuple[CurveWord, ...]] = set()
     for w1 in words:
         ch = _channels(w1)
         if len({c.crossing for c in ch}) != 2:
             continue  # both saddles at one crossing never pair up
         partner_set = frozenset(_flip(c) for c in ch)
         for w2 in by_channel_set.get(partner_set, ()):
-            cfg = make_configuration([w1, w2], mirror=True)
+            cfg = make_configuration([w1, w2])
             bad = check_configuration(g, cfg, innermost_all=True)
             if bad:
                 _tally(diagnostics, bad)
-                continue
-            key = _config_key(cfg)
-            if key not in pair_seen:
-                pair_seen.add(key)
-                pairs.append(tuple(cfg.words_plus))
+            else:
+                pairs.add(cfg.words_plus)
 
-    reps = saddle_pair_class_representatives(pairs)
-    configs = tuple(make_configuration(list(pair), mirror=True) for pair in reps)
-    counts = {"pppp": 0, "psps_pair": len(configs), "other": 0, "total": len(configs)}
-    return EnumerationResult(configs, counts, diagnostics, visited=0)
+    reps = saddle_pair_class_representatives(list(pairs))
+    return EnumerationResult(tuple(make_configuration(pair) for pair in reps), diagnostics)
 
 
 def enumerate_genus2(g: AugmentedDualGraph) -> EnumerationResult:
@@ -338,18 +329,8 @@ def enumerate_genus2(g: AugmentedDualGraph) -> EnumerationResult:
     """
     pppp = enumerate_pppp(g)
     psps = enumerate_psps_pairs(g)
-    configs = pppp.configurations + psps.configurations
-    total = len(configs)
-    diagnostics = dict(pppp.diagnostics)
-    for prop, k in psps.diagnostics.items():
-        diagnostics[prop] = diagnostics.get(prop, 0) + k
-    counts = {
-        "pppp": pppp.counts["pppp"],
-        "psps_pair": psps.counts["psps_pair"],
-        "other": 0,
-        "total": total,
-    }
-    return EnumerationResult(configs, counts, diagnostics, visited=0)
+    # PPPP words are built clean, so only the PSPS pairs tally rejections
+    return EnumerationResult(pppp.configurations + psps.configurations, psps.diagnostics)
 
 
 # ----------------------------------------------------------------------------
@@ -377,7 +358,7 @@ def _general_words(
     max_len = budget.max_word_length
     if rotations is not None:
         max_len = min(max_len, max(len(p) for p in rotations))
-    seen: dict[tuple, CurveWord] = {}
+    seen: set[CurveWord] = set()
 
     def extend(start: int, letters: tuple, faces: tuple, used: frozenset, p_used: int):
         guard.tick()
@@ -393,8 +374,7 @@ def _general_words(
                 if bad:
                     _tally(diagnostics, bad)
                 else:
-                    word = canonicalize(word)
-                    seen.setdefault(_word_key(word), word)
+                    seen.add(canonicalize(word))
         if length == max_len:
             return
         kinds_prefix = "" if rotations is None else "".join(l.kind for l in letters)
@@ -424,7 +404,7 @@ def _general_words(
 
     for start in g.nodes:
         extend(start, (), (start,), frozenset(), 0)
-    return sorted(seen.values(), key=_word_key)
+    return sorted(seen)
 
 
 def enumerate_general(
@@ -448,17 +428,17 @@ def enumerate_general(
     rotations = _pattern_rotations(patterns)
     pool = _general_words(g, budget, rotations, guard, diagnostics)
 
-    configs: dict[tuple, Configuration] = {}
+    configs: set[Configuration] = set()
 
     def assemble(index: int, chosen: list[CurveWord], p_total: int):
         guard.tick()
         if chosen:
-            cfg = make_configuration(chosen, mirror=True)
+            cfg = make_configuration(chosen)
             bad = check_configuration(g, cfg)
             if bad:
                 _tally(diagnostics, bad)
             else:
-                configs.setdefault(_config_key(cfg), cfg)
+                configs.add(cfg)
         if len(chosen) == budget.max_curves:
             return
         for i in range(index, len(pool)):
@@ -470,13 +450,7 @@ def enumerate_general(
             chosen.pop()
 
     assemble(0, [], 0)
-
-    ordered = sorted(configs.values(), key=_config_key)
-    counts = {"pppp": 0, "psps_pair": 0, "other": 0}
-    for cfg in ordered:
-        counts[classify_family(cfg)] += 1
-    counts["total"] = len(ordered)
-    return EnumerationResult(tuple(ordered), counts, diagnostics, guard.visited)
+    return EnumerationResult(tuple(sorted(configs)), diagnostics, guard.visited)
 
 
 # ----------------------------------------------------------------------------
@@ -496,7 +470,7 @@ def oracle_enumerate(g: AugmentedDualGraph, max_len: int) -> EnumerationResult:
         raise TractabilityError(f"oracle supports max_len <= 8, got {max_len}")
 
     diagnostics: dict[int, int] = {}
-    words: dict[tuple, CurveWord] = {}
+    words: set[CurveWord] = set()
 
     def grow(start: int, letters: list[Letter], faces: list[int]):
         here = faces[-1]
@@ -506,8 +480,7 @@ def oracle_enumerate(g: AugmentedDualGraph, max_len: int) -> EnumerationResult:
             if bad:
                 _tally(diagnostics, bad)
             else:
-                word = canonicalize(word)
-                words.setdefault(_word_key(word), word)
+                words.add(canonicalize(word))
         if len(letters) == max_len:
             return
         for step in g.steps_from(here):
@@ -520,20 +493,14 @@ def oracle_enumerate(g: AugmentedDualGraph, max_len: int) -> EnumerationResult:
     for start in g.nodes:
         grow(start, [], [start])
 
-    pool = sorted(words.values(), key=_word_key)
-    configs: dict[tuple, Configuration] = {}
+    pool = sorted(words)
+    configs: set[Configuration] = set()
     for i, w1 in enumerate(pool):
-        single = make_configuration([w1], mirror=True)
+        single = make_configuration([w1])
         if not check_configuration(g, single):
-            configs.setdefault(_config_key(single), single)
+            configs.add(single)
         for w2 in pool[i:]:
-            cfg = make_configuration([w1, w2], mirror=True)
+            cfg = make_configuration([w1, w2])
             if not check_configuration(g, cfg):
-                configs.setdefault(_config_key(cfg), cfg)
-
-    ordered = sorted(configs.values(), key=_config_key)
-    counts = {"pppp": 0, "psps_pair": 0, "other": 0}
-    for cfg in ordered:
-        counts[classify_family(cfg)] += 1
-    counts["total"] = len(ordered)
-    return EnumerationResult(tuple(ordered), counts, diagnostics, visited=0)
+                configs.add(cfg)
+    return EnumerationResult(tuple(sorted(configs)), diagnostics)

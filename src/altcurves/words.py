@@ -7,8 +7,11 @@ when it passes a saddle channel.  A word is stored with its face trace
 closed walk in the dual graph.
 
 Words are compared up to rotation and reversal; `canonicalize` picks the
-lexicographically least representative (P letters sort before S letters, then
-by arc / (crossing, side)).
+least representative.  The order lives in the types: a `Letter` is the tuple
+(kind, ref), so P letters sort before S letters, then by arc or by
+(crossing, side); a `CurveWord` orders by its letters, then its face trace;
+a `Configuration` by its plus words, then its minus words.  Sorting, `min`
+and set-based dedupe need no key functions.
 
 The executable constraints are numbered the way the count arguments use them:
 
@@ -29,7 +32,8 @@ check; property 3 is never applied by the general word check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dualgraph import AugmentedDualGraph, SaddleChannel
 from .errors import PreconditionError
@@ -50,26 +54,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Letter:
-    """kind 'P' with an arc ref, or kind 'S' with a SaddleChannel ref."""
+class Letter(NamedTuple):
+    """kind 'P' with an arc ref, or kind 'S' with a SaddleChannel ref.
+
+    Letters of different kinds differ in their first field, so an arc is
+    never compared with a channel.
+    """
 
     kind: str
     ref: int | SaddleChannel
-
-    @property
-    def sort_key(self) -> tuple:
-        if self.kind == "P":
-            return (0, self.ref)
-        return (1, self.ref.crossing, self.ref.side)
 
     def __str__(self) -> str:
         return f"{self.kind}{self.ref}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class CurveWord:
-    """A cyclic decorated word together with its face trace."""
+    """A cyclic decorated word together with its face trace.
+
+    Words order by their letters, then by their face traces.
+    """
 
     letters: tuple[Letter, ...]
     faces: tuple[int, ...]
@@ -100,29 +104,24 @@ class CurveWord:
         return CurveWord(letters, faces)
 
 
-def _word_key(w: CurveWord) -> tuple:
-    return (tuple(l.sort_key for l in w.letters), w.faces)
-
-
 def canonicalize(w: CurveWord) -> CurveWord:
     """Least representative over all rotations of both directions.
 
-    The letter sort keys are computed once per direction, and only the least
-    rotation by `_word_key` is built as a word.  A least rotation starts at a
-    least letter, so only those rotations are compared.
+    Rotations are compared as (letters, faces) tuples, the order of
+    `CurveWord`, and only the least one is built as a word.  A least
+    rotation starts at a least letter, so only those rotations are compared.
     """
     best = None
     for base in (w, w.reversed()):
-        keys = tuple(l.sort_key for l in base.letters)
-        first = min(keys)
-        for r in range(len(keys)):
-            if keys[r] != first:
+        letters, faces = base.letters, base.faces
+        first = min(letters)
+        for r in range(len(letters)):
+            if letters[r] != first:
                 continue
-            key = (keys[r:] + keys[:r], base.faces[r:] + base.faces[:r])
-            if best is None or key < best[0]:
-                best = (key, base, r)
-    _, base, r = best
-    return base.rotated(r)
+            key = (letters[r:] + letters[:r], faces[r:] + faces[:r])
+            if best is None or key < best:
+                best = key
+    return CurveWord(*best)
 
 
 def is_canonical(w: CurveWord) -> bool:
@@ -224,16 +223,17 @@ def has_consecutive_saddles(w: CurveWord) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Configuration:
     """Curve words on the two spheres of the standard position.
 
     p and s count puncture and saddle letters on the plus sphere only; c
     counts curves on both spheres.  |F| = p + s + c is the complexity.
+    Configurations order by their plus words, then their minus words.
     """
 
     words_plus: tuple[CurveWord, ...]
-    words_minus: tuple[CurveWord, ...] = field(default=())
+    words_minus: tuple[CurveWord, ...]
 
     @property
     def p(self) -> int:
@@ -252,21 +252,16 @@ class Configuration:
         return self.p + self.s + self.c
 
 
-def make_configuration(
-    words_plus, words_minus=None, mirror: bool = False
-) -> Configuration:
-    """Canonical configuration: words canonicalized and sorted.
+def make_configuration(words) -> Configuration:
+    """Mirrored configuration of canonical words, sorted.
 
-    With mirror=True the minus sphere repeats the plus words, the convention
-    used by the enumerators (every saddle passes to the other sphere, and a
-    disk-bounding curve family closes up symmetrically).
+    The minus sphere repeats the plus words, the convention used by the
+    enumerators (every saddle passes to the other sphere, and a
+    disk-bounding curve family closes up symmetrically).  The words must
+    already be canonical (`canonicalize`); they are not canonicalized again.
     """
-    plus = tuple(sorted((canonicalize(w) for w in words_plus), key=_word_key))
-    if mirror:
-        minus = plus
-    else:
-        minus = tuple(sorted((canonicalize(w) for w in words_minus or ()), key=_word_key))
-    return Configuration(plus, minus)
+    plus = tuple(sorted(words))
+    return Configuration(plus, plus)
 
 
 def _channel_counts(words) -> dict[int, dict[str, int]]:

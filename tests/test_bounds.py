@@ -75,7 +75,6 @@ def test_compare_flags_violations_without_raising():
 def test_compare_on_empty_result():
     empty = EnumerationResult(
         configurations=(),
-        counts={"pppp": 0, "psps_pair": 0, "other": 0, "total": 0},
         diagnostics={},
         visited=0,
     )

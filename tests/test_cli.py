@@ -117,6 +117,14 @@ def test_enumerate_guard_flag(capsys):
     assert "guard tripped" in capsys.readouterr().err
     assert main(["enumerate", "--genus", "3", "--guard-cap", "100000", TREFOIL]) == 0
     assert "total=15" in capsys.readouterr().out
+    # a cap below 1 is a bad argument, rejected before any search
+    for cap in ("0", "-5", "many"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["enumerate", "--genus", "3", "--guard-cap", cap, TREFOIL])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "--guard-cap: expected a positive integer" in err
+        assert "guard tripped" not in err
 
 
 # Every option string of every subcommand.  A new knob must be added here.
@@ -198,8 +206,7 @@ def test_over_cap_count_is_reported_not_raised(monkeypatch, capsys):
 
     def over_cap(g):
         configs = real(g).configurations[:1] * 55
-        counts = {"pppp": 55, "psps_pair": 0, "other": 0, "total": 55}
-        return EnumerationResult(configs, counts, {}, visited=0)
+        return EnumerationResult(configs, {}, visited=0)
 
     monkeypatch.setattr(enumerators, "enumerate_pppp", over_cap)
     assert main(["bounds", TREFOIL]) == 1
@@ -255,6 +262,12 @@ def test_report_render_directory(tmp_path, capsys):
     made = sorted(p.name for p in out_dir.glob("*.svg"))
     assert made == ["borromean.svg", "k3_1.svg"]
     assert out_dir.joinpath("k3_1.svg").read_text().startswith("<svg")
+    # invalid diagrams are reported but not drawn
+    invalid_dir = tmp_path / "svg-invalid"
+    assert main(["report", "--render", str(invalid_dir),
+                 str(FIXTURE_DIR / "invalid"), TREFOIL]) == 1
+    assert "INVALID" in capsys.readouterr().out
+    assert [p.name for p in invalid_dir.glob("*.svg")] == ["k3_1.svg"]
 
 
 def test_render_plain(capsys):

@@ -29,7 +29,6 @@ from altcurves.words import (
     Letter,
     check_configuration,
     check_word,
-    _word_key,
     serialize_word,
 )
 
@@ -278,7 +277,7 @@ def _pairwise_classes(items, related):
 
 
 def _pairwise_puncture_reps(words):
-    items = sorted(words, key=_word_key)
+    items = sorted(words)
 
     def shares_three(w1, w2):
         m1 = Counter(l.ref for l in w1.letters)
@@ -286,7 +285,7 @@ def _pairwise_puncture_reps(words):
         return sum(min(m1[a], m2[a]) for a in m1) >= 3
 
     classes = _pairwise_classes(items, shares_three)
-    return sorted((min(c, key=_word_key) for c in classes), key=_word_key)
+    return sorted(min(c) for c in classes)
 
 
 def _channel_set(w):
@@ -294,14 +293,13 @@ def _channel_set(w):
 
 
 def _pairwise_saddle_reps(pairs):
-    pair_key = lambda p: (_word_key(p[0]), _word_key(p[1]))
-    items = sorted((tuple(sorted(p, key=_word_key)) for p in pairs), key=pair_key)
+    items = sorted(tuple(sorted(p)) for p in pairs)
 
     def shares_channel_set(p1, p2):
         return bool({_channel_set(w) for w in p1} & {_channel_set(w) for w in p2})
 
     classes = _pairwise_classes(items, shares_channel_set)
-    return sorted((min(c, key=pair_key) for c in classes), key=pair_key)
+    return sorted(min(c) for c in classes)
 
 
 # few arcs, channels and faces, so that words collide often

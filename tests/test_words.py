@@ -9,7 +9,6 @@ from altcurves.words import (
     Configuration,
     CurveWord,
     Letter,
-    _word_key,
     canonicalize,
     check_configuration,
     check_word,
@@ -92,7 +91,7 @@ def test_canonicalize_idempotent(idx):
 def _canonical_by_all_rotations(w):
     # the plain definition: every rotation of both directions, built as words
     candidates = [base.rotated(r) for base in (w, w.reversed()) for r in range(len(w))]
-    return min(candidates, key=_word_key)
+    return min(candidates)
 
 
 # two letters and two faces, so that rotations tie on letters and faces decide
@@ -113,6 +112,67 @@ def test_canonicalize_matches_all_rotations(w):
 def test_canonicalize_matches_all_rotations_on_walks():
     for w in WALK_POOL:
         assert canonicalize(w) == _canonical_by_all_rotations(w)
+
+
+# The explicit sort keys that defined the canonical order before letters,
+# words and configurations ordered themselves; kept as the reference.
+def _old_letter_key(l):
+    if l.kind == "P":
+        return (0, l.ref)
+    return (1, l.ref.crossing, l.ref.side)
+
+
+def _old_word_key(w):
+    return (tuple(_old_letter_key(l) for l in w.letters), w.faces)
+
+
+def _old_config_key(cfg):
+    return (tuple(_old_word_key(w) for w in cfg.words_plus),
+            tuple(_old_word_key(w) for w in cfg.words_minus))
+
+
+mixed_letters = st.sampled_from(
+    [Letter("P", arc) for arc in (1, 2, 3, 4, 10)]
+    + [Letter("S", SaddleChannel(c, side)) for c in (1, 2, 3, 10) for side in "AB"]
+)
+
+
+@st.composite
+def word_lists(draw):
+    # each drawn word comes with one of its prefixes, so that words share
+    # prefixes and differ in length
+    words = []
+    for letters in draw(st.lists(st.lists(mixed_letters, min_size=1, max_size=6),
+                                 min_size=1, max_size=6)):
+        cut = draw(st.integers(1, len(letters)))
+        for part in (letters, letters[:cut]):
+            faces = draw(st.lists(st.integers(0, 2), min_size=len(part), max_size=len(part)))
+            words.append(CurveWord(tuple(part), tuple(faces)))
+    return words
+
+
+@settings(max_examples=120, deadline=None)
+@given(word_lists(), st.data())
+def test_natural_order_matches_old_keys(words, data):
+    letters = [l for w in words for l in w.letters]
+    assert sorted(letters) == sorted(letters, key=_old_letter_key)
+    assert min(letters) == min(letters, key=_old_letter_key)
+    for l in letters:
+        ref = str(l.ref) if l.kind == "P" else f"{l.ref.crossing}{l.ref.side}"
+        assert str(l) == l.kind + ref
+        if l.kind == "S":
+            assert str(l.ref) == ref
+
+    assert sorted(words) == sorted(words, key=_old_word_key)
+    assert min(words) == min(words, key=_old_word_key)
+
+    configs = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        plus = data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=3))
+        minus = data.draw(st.lists(st.sampled_from(words), max_size=3))
+        configs.append(Configuration(tuple(sorted(plus)), tuple(sorted(minus))))
+    assert sorted(configs) == sorted(configs, key=_old_config_key)
+    assert min(configs) == min(configs, key=_old_config_key)
 
 
 def test_rotation_preserves_walk_shape():
@@ -189,18 +249,17 @@ def test_make_configuration_sorts_and_mirrors():
     g = load_dual("borromean")
     words = [w for w in closed_walks(g, 4) if not check_word(g, w)]
     w1, w2 = canonicalize(words[0]), canonicalize(words[1])
-    cfg = make_configuration([w2, w1], mirror=True)
-    assert cfg.words_plus == tuple(sorted([w1, w2], key=_word_key))
+    assert w1 != w2
+    cfg = make_configuration([max(w1, w2), min(w1, w2)])
+    assert cfg.words_plus == (min(w1, w2), max(w1, w2))
     assert cfg.words_minus == cfg.words_plus
-    lone = make_configuration([w1])
-    assert lone.words_minus == ()
 
 
 def test_complexity_counts_both_spheres():
     g = load_dual("borromean")
     pppp = [w for w in closed_walks(g, 4)
             if not check_word(g, w) and w.s_count == 0]
-    cfg = make_configuration([pppp[0]], mirror=True)
+    cfg = make_configuration([canonicalize(pppp[0])])
     assert (cfg.p, cfg.s, cfg.c) == (4, 0, 2)
     assert cfg.complexity == 6
 
@@ -211,7 +270,7 @@ def test_configuration_balance_per_sphere():
              if not check_word(g, w) and w.s_count == 2
              and len({l.ref.crossing for l in w.letters if l.kind == "S"}) == 2]
     assert mixed, "borromean should carry two-crossing PSPS words"
-    lone = make_configuration([mixed[0]], mirror=True)
+    lone = make_configuration([canonicalize(mixed[0])])
     violations = check_configuration(g, lone)
     assert violations
     assert {v.prop for v in violations} == {4}
