@@ -250,12 +250,10 @@ def _report_row(path: str) -> dict:
         "bounds_ok": "",
     }
     try:
-        # build_dual validates the diagram; the error it raises for an
-        # invalid one carries the report, so each row validates once
+        # build_dual validates the diagram and raises only for an invalid
+        # one, with the report attached, so each row validates once
         result = enumerate_genus2(build_dual(d))
     except PreconditionError as e:
-        if e.report is None:
-            raise
         row.update(valid=False, failures="; ".join(e.report.failures))
         return row
     breport = compare(d.n, result)
@@ -407,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="summarize a corpus of diagrams")
     p_rep.add_argument("paths", nargs="+", metavar="PATH")
-    p_rep.add_argument("--jobs", type=int, default=1)
+    p_rep.add_argument("--jobs", type=_positive_int, default=1)
     p_rep.add_argument("--render", default=None, metavar="DIR",
                        help="also write one SVG per valid diagram")
     p_rep.add_argument("--format", choices=("text", "json", "csv"), default="text")

@@ -193,10 +193,6 @@ def _normalize(rows: list[tuple[int, int, int, int]]) -> PdCode:
         raise PdStructureError(
             f"arc labels must occur exactly twice; offending labels: {bad}"
         )
-    if len(counts) != 2 * len(rows):
-        raise PdStructureError(
-            f"{len(rows)} crossings need {2 * len(rows)} arcs, found {len(counts)}"
-        )
     rank = {label: i + 1 for i, label in enumerate(sorted(counts))}
     return PdCode(tuple(tuple(rank[x] for x in row) for row in rows))
 

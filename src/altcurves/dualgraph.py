@@ -8,13 +8,14 @@ Nodes are the faces of a validated diagram.  Two kinds of edges:
   at corners 0 and 2 of the crossing, channel B the faces at corners 1 and 3.
   The A/B labeling is a fixed global convention.
 
-Reduced diagrams never produce self-loop edges of either kind; the builder
-asserts this.
+Validated diagrams never produce self-loop edges of either kind; validation
+rules this out.  An arc with one face on both sides would be a bridge, which
+a 4-valent plane graph never has, and a channel whose two corners lie in one
+face is exactly a crossing that fails the `reduced` check.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -67,30 +68,13 @@ class AugmentedDualGraph:
         (c1, _), (c2, _) = self.diagram.arcs[arc]
         return (c1, c2)
 
-    def to_debug_json(self) -> str:
-        """Stable JSON rendering of nodes and edges, for fixture diffing."""
-        payload = {
-            "schema_version": 1,
-            "nodes": list(self.nodes),
-            "p_edges": [
-                {"arc": arc, "faces": list(faces)}
-                for arc, faces in sorted(self.p_edges.items())
-            ],
-            "s_edges": [
-                {"crossing": ch.crossing, "side": ch.side, "faces": list(faces)}
-                for ch, faces in sorted(self.s_edges.items())
-            ],
-        }
-        return json.dumps(payload, sort_keys=True)
-
 
 def build_dual(d: Diagram) -> AugmentedDualGraph:
     """Assemble the augmented dual graph of a validated diagram.
 
     Raises:
-        PreconditionError: the diagram fails validation (the error carries
-            the ValidationReport), or an edge of either kind would be a
-            self-loop (impossible for reduced diagrams).
+        PreconditionError: the diagram fails validation; the error carries
+            the ValidationReport.
     """
     report = validate(d)
     if not report.ok:
@@ -101,18 +85,10 @@ def build_dual(d: Diagram) -> AugmentedDualGraph:
         )
 
     p_edges = {arc: faces for arc, faces in sorted(d.arc_faces.items())}
-    for arc, (f1, f2) in p_edges.items():
-        if f1 == f2:
-            raise PreconditionError(f"arc {arc} borders face {f1} on both sides")
-
     s_edges: dict[SaddleChannel, tuple[int, int]] = {}
     for c in d.crossing_ids:
         for side, (k1, k2) in (("A", (0, 2)), ("B", (1, 3))):
             faces = (d.corner_map[(c, k1)], d.corner_map[(c, k2)])
-            if faces[0] == faces[1]:
-                raise PreconditionError(
-                    f"channel {c}{side} joins face {faces[0]} to itself"
-                )
             s_edges[SaddleChannel(c, side)] = tuple(sorted(faces))
 
     nodes = tuple(f.id for f in d.faces)

@@ -26,6 +26,12 @@ word has two punctures in two blocks (7, 8), length four (9), and its two
 saddles join faces of opposite checkerboard colours, so they never share a
 channel (2).
 
+PSPS pairs are balanced and alternate by construction, so they never call
+`check_configuration` either.  The first word uses one channel at each of
+two distinct crossings and its partner uses exactly the flipped channels,
+so every crossing gets one passage through each channel on each sphere (4);
+a PSPS word never has two saddles next to each other (3).
+
 The minus sphere of every emitted configuration mirrors the plus sphere:
 each saddle passes to the other sphere and the curve family closes up
 symmetrically, so the mirror is the unique completion with the same letters.
@@ -149,10 +155,8 @@ def classify_family(cfg: Configuration) -> str:
         w1, w2 = cfg.words_plus
         if word_pattern(w1) == word_pattern(w2) == "PSPS":
             ch1, ch2 = _channels(w1), _channels(w2)
-            crossings = {c.crossing for c in ch1}
             if (
-                len(crossings) == 2
-                and {c.crossing for c in ch2} == crossings
+                len({c.crossing for c in ch1}) == 2
                 and ch2 == frozenset(_flip(c) for c in ch1)
             ):
                 return "psps_pair"
@@ -310,12 +314,7 @@ def enumerate_psps_pairs(g: AugmentedDualGraph) -> EnumerationResult:
             continue  # both saddles at one crossing never pair up
         partner_set = frozenset(_flip(c) for c in ch)
         for w2 in by_channel_set.get(partner_set, ()):
-            cfg = make_configuration([w1, w2])
-            bad = check_configuration(g, cfg, innermost_all=True)
-            if bad:
-                _tally(diagnostics, bad)
-            else:
-                pairs.add(cfg.words_plus)
+            pairs.add(tuple(sorted((w1, w2))))
 
     reps = saddle_pair_class_representatives(list(pairs))
     return EnumerationResult(tuple(make_configuration(pair) for pair in reps), diagnostics)
@@ -426,7 +425,11 @@ def enumerate_general(
     guard = _Guard(guard_cap)
     diagnostics: dict[int, int] = {}
     rotations = _pattern_rotations(patterns)
-    pool = _general_words(g, budget, rotations, guard, diagnostics)
+    # sorted by puncture count, so the assembly loop can stop at the first
+    # word past the budget; the order does not change which multisets it visits
+    pool = sorted(_general_words(g, budget, rotations, guard, diagnostics),
+                  key=lambda w: w.p_count)
+    p_counts = [w.p_count for w in pool]
 
     configs: set[Configuration] = set()
 
@@ -442,11 +445,10 @@ def enumerate_general(
         if len(chosen) == budget.max_curves:
             return
         for i in range(index, len(pool)):
-            w = pool[i]
-            if p_total + w.p_count > budget.max_punctures:
-                continue
-            chosen.append(w)
-            assemble(i, chosen, p_total + w.p_count)
+            if p_total + p_counts[i] > budget.max_punctures:
+                break
+            chosen.append(pool[i])
+            assemble(i, chosen, p_total + p_counts[i])
             chosen.pop()
 
     assemble(0, [], 0)

@@ -97,12 +97,9 @@ def build_polygon_complex(cfg: Configuration) -> PolygonComplex:
             )
         per_crossing[c] = stacks[0]
 
+    # equal stacks give each vertex four corners: incidence is 4 * vertices
     incidence = sum(w.s_count for w in cfg.words_plus + cfg.words_minus)
     vertices = sum(per_crossing.values())
-    if 4 * vertices != incidence:
-        raise EulerInconsistencyError(
-            f"{incidence} saddle corners do not fill {vertices} vertices four-fold"
-        )
     edges = incidence // 2
     polygons = len(cfg.words_plus) + len(cfg.words_minus)
     return PolygonComplex(vertices, edges, polygons, incidence, per_crossing)

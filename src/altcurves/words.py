@@ -16,8 +16,8 @@ and set-based dedupe need no key functions.
 The executable constraints are numbered the way the count arguments use them:
 
   2  no channel is used twice by one curve
-  3  no two consecutive saddles (applied only when every curve is treated as
-     innermost; see `check_configuration`)
+  3  no two consecutive saddles (the innermost rule; the genus-2 families
+     hold it by pattern, so nothing checks it at run time)
   4  at each crossing, equally many passages through the two channels
   5  no two cyclically consecutive punctures on the same arc
   6  no saddle passage cyclically adjacent to a puncture of an arc that ends
@@ -27,7 +27,7 @@ The executable constraints are numbered the way the count arguments use them:
   9  word length at least 4 and even
 
 Property 1 (each curve bounds a disk) is a modeling assumption and has no
-check; property 3 is never applied by the general word check.
+check.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "check_word",
     "check_configuration",
     "make_configuration",
-    "has_consecutive_saddles",
 ]
 
 
@@ -214,15 +213,6 @@ def check_word(g: AugmentedDualGraph, w: CurveWord) -> list[Violation]:
     return sorted(out, key=lambda v: (v.prop, v.position))
 
 
-def has_consecutive_saddles(w: CurveWord) -> bool:
-    """True when some cyclically adjacent pair of letters is S,S."""
-    n = len(w)
-    return any(
-        w.letters[i].kind == "S" and w.letters[(i + 1) % n].kind == "S"
-        for i in range(n)
-    )
-
-
 @dataclass(frozen=True, order=True)
 class Configuration:
     """Curve words on the two spheres of the standard position.
@@ -274,16 +264,11 @@ def _channel_counts(words) -> dict[int, dict[str, int]]:
     return counts
 
 
-def check_configuration(
-    g: AugmentedDualGraph, cfg: Configuration, innermost_all: bool = False
-) -> list[Violation]:
-    """Configuration-level failures: channel balance, optional innermost rule.
+def check_configuration(g: AugmentedDualGraph, cfg: Configuration) -> list[Violation]:
+    """Configuration-level failures: channel balance (property 4).
 
-    Balance (property 4) is required on each sphere separately: the two
-    channels of a crossing carry one passage per saddle each.  With
-    innermost_all=True, every word is additionally required to avoid
-    consecutive saddles (property 3), the rule available when each curve of
-    the family can be taken innermost.
+    Balance is required on each sphere separately: the two channels of a
+    crossing carry one passage per saddle each.
     """
     out: list[Violation] = []
     for side_name, words in (("plus", cfg.words_plus), ("minus", cfg.words_minus)):
@@ -294,8 +279,4 @@ def check_configuration(
                     f"{side_name} sphere: crossing {crossing} has {per['A']} passages "
                     f"through channel A but {per['B']} through B",
                 ))
-        if innermost_all:
-            for i, w in enumerate(words):
-                if has_consecutive_saddles(w):
-                    out.append(Violation(3, i, f"{side_name} word {i} has consecutive saddles"))
     return out

@@ -50,6 +50,16 @@ def relabel(text: str, rng: random.Random) -> str:
     return "".join("X " + " ".join(row) + "\n" for row in rows)
 
 
+def has_consecutive_saddles(w) -> bool:
+    """True when some cyclically adjacent pair of a word's letters is S,S.
+
+    The innermost rule (property 3) forbids this.  The genus-2 families hold
+    it by pattern and the package checks it nowhere, so the tests do.
+    """
+    kinds = [l.kind for l in w.letters]
+    return any(a == b == "S" for a, b in zip(kinds, kinds[1:] + kinds[:1]))
+
+
 def two_bridge_pd(terms: list[int]) -> str:
     """PD text of the alternating twist diagram of a continued fraction."""
     return pd_from_tree(cf_tree(terms))

@@ -127,6 +127,14 @@ def test_enumerate_guard_flag(capsys):
         assert "guard tripped" not in err
 
 
+def test_report_jobs_below_one_rejected(capsys):
+    for jobs in ("0", "-3", "many"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["report", "--jobs", jobs, TREFOIL])
+        assert exit_.value.code == 2
+        assert "--jobs: expected a positive integer" in capsys.readouterr().err
+
+
 # Every option string of every subcommand.  A new knob must be added here.
 CLI_SURFACE = {
     "": ["--help", "--version", "-h"],

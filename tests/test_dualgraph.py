@@ -1,14 +1,17 @@
 """Augmented dual graph construction."""
 
-import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from altcurves.diagram import validate
+from altcurves.diagram import build_diagram, parse_pd, validate
 from altcurves.dualgraph import SaddleChannel, build_dual
 from altcurves.errors import PreconditionError
 
-from conftest import VALID_NAMES, load_diagram, load_dual
+from conftest import VALID_NAMES, load_diagram, load_dual, relabel
+from gen_fixtures import cf_tree, leaf, parallel, pd_from_tree, series
 
 
 def test_counts_on_small_fixtures():
@@ -34,19 +37,40 @@ def test_counts_follow_diagram_size():
         assert channels == {(c, s) for c in g.diagram.crossing_ids for s in "AB"}
 
 
+def _assert_no_self_loops(g):
+    for pair in g.p_edges.values():
+        assert pair[0] != pair[1]
+    for pair in g.s_edges.values():
+        assert pair[0] != pair[1]
+    # the two channels of a crossing split its four pairwise distinct
+    # corner faces into complementary pairs
+    for c in g.diagram.crossing_ids:
+        a = g.s_edges[SaddleChannel(c, "A")]
+        b = g.s_edges[SaddleChannel(c, "B")]
+        assert len(set(a) | set(b)) == 4
+
+
 def test_no_self_loops_and_distinct_corner_faces():
+    # build_dual does not check this: validation rules it out
     for name in VALID_NAMES:
-        g = load_dual(name)
-        for pair in g.p_edges.values():
-            assert pair[0] != pair[1]
-        for pair in g.s_edges.values():
-            assert pair[0] != pair[1]
-        # the two channels of a crossing split its four pairwise distinct
-        # corner faces into complementary pairs
-        for c in g.diagram.crossing_ids:
-            a = g.s_edges[SaddleChannel(c, "A")]
-            b = g.s_edges[SaddleChannel(c, "B")]
-            assert len(set(a) | set(b)) == 4
+        _assert_no_self_loops(load_dual(name))
+
+
+twist_counts = st.lists(st.integers(1, 4), min_size=1, max_size=5)
+generated_trees = st.one_of(
+    # 2-bridge twist diagrams; a single twist is a one-crossing kink
+    twist_counts.filter(lambda t: sum(t) >= 2).map(cf_tree),
+    # pretzels: a cycle of parallel bundles in the checkerboard graph
+    twist_counts.filter(lambda t: len(t) >= 2).map(
+        lambda t: series([parallel([leaf()] * k) for k in t])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=generated_trees, seed=st.integers(0, 2**32 - 1))
+def test_no_self_loops_on_generated_diagrams(tree, seed):
+    text = relabel(pd_from_tree(tree), random.Random(seed))
+    _assert_no_self_loops(build_dual(build_diagram(parse_pd(text))))
 
 
 def test_trefoil_bigon_steps():
@@ -89,13 +113,3 @@ def test_build_requires_valid_diagram():
         # the error carries the report, so callers need not validate again
         assert err.value.report == validate(d)
         assert not err.value.report.ok
-
-
-def test_debug_json_stable():
-    g = load_dual("k3_1")
-    blob = g.to_debug_json()
-    assert blob == g.to_debug_json()
-    data = json.loads(blob)
-    assert data["schema_version"] == 1
-    assert len(data["p_edges"]) == 6
-    assert len(data["s_edges"]) == 6

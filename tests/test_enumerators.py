@@ -32,7 +32,8 @@ from altcurves.words import (
     serialize_word,
 )
 
-from conftest import TORUS_NAMES, VALID_NAMES, load_dual, relabel, two_bridge_pd
+from conftest import (TORUS_NAMES, VALID_NAMES, has_consecutive_saddles, load_dual, relabel,
+                      two_bridge_pd)
 
 # class counts certified against oracle_enumerate(max_len=4) on every fixture
 EXPECTED = {
@@ -105,7 +106,8 @@ def test_emitted_configurations_are_clean():
         for cfg in result.configurations:
             for w in cfg.words_plus + cfg.words_minus:
                 assert check_word(g, w) == []
-            assert check_configuration(g, cfg, innermost_all=True) == []
+                assert not has_consecutive_saddles(w)
+            assert check_configuration(g, cfg) == []
 
 
 def test_words_never_repeat_arcs_on_prime_diagrams():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from altcurves.dualgraph import SaddleChannel
-from altcurves.enumerators import budgets, enumerate_genus2
+from altcurves.enumerators import budgets, enumerate_general, enumerate_genus2
 from altcurves.errors import EulerInconsistencyError
 from altcurves.euler import (
     build_polygon_complex,
@@ -57,6 +57,16 @@ def test_corpus_configurations_have_sphere_characteristic():
     for name in VALID_NAMES:
         for cfg in enumerate_genus2(load_dual(name)).configurations:
             assert euler_crosscheck(cfg) == 2, name
+
+
+def test_saddle_corners_fill_vertices():
+    # build_polygon_complex does not check this: equal stacks imply it
+    runs = [enumerate_genus2(load_dual(name)) for name in VALID_NAMES]
+    runs += [enumerate_general(load_dual(name), budgets(3)) for name in ("hopf", "k3_1")]
+    for result in runs:
+        for cfg in result.configurations:
+            complex_ = build_polygon_complex(cfg)
+            assert complex_.saddle_incidence == 4 * complex_.vertices
 
 
 def test_complex_counts_on_saddle_pair():

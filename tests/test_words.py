@@ -12,7 +12,6 @@ from altcurves.words import (
     canonicalize,
     check_configuration,
     check_word,
-    has_consecutive_saddles,
     is_canonical,
     make_configuration,
     serialize_word,
@@ -195,7 +194,6 @@ def test_check_word_flags_channel_reuse():
     props = {v.prop for v in check_word(TREFOIL_DUAL, w)}
     assert 2 in props  # channels reused
     assert 8 in props  # no punctures at all
-    assert has_consecutive_saddles(w)
 
 
 def test_check_word_flags_adjacent_same_arc():
@@ -277,15 +275,3 @@ def test_configuration_balance_per_sphere():
     # plus and minus spheres are reported separately
     assert any("plus sphere" in v.message for v in violations)
     assert any("minus sphere" in v.message for v in violations)
-
-
-def test_innermost_rule_flags_consecutive_saddles():
-    w = CurveWord(
-        (Letter("S", SaddleChannel(1, "B")), Letter("S", SaddleChannel(1, "B")),
-         Letter("S", SaddleChannel(3, "B")), Letter("S", SaddleChannel(3, "B"))),
-        (0, 2, 0, 4),
-    )
-    cfg = Configuration((canonicalize(w),), ())
-    assert not any(v.prop == 3 for v in check_configuration(TREFOIL_DUAL, cfg))
-    flagged = check_configuration(TREFOIL_DUAL, cfg, innermost_all=True)
-    assert any(v.prop == 3 for v in flagged)
