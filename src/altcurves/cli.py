@@ -6,7 +6,10 @@ optionally in parallel and with rendered SVGs), render (one diagram to SVG).
 
 Exit codes: 0 success, 1 domain failure (invalid diagram, violated bound),
 2 input problem (unreadable file, parse error, bad arguments), 3 guard abort
-(`enumerate` only: the general search exceeded its visited-walk cap).
+(`enumerate` only: the general search exceeded its visited-walk cap), 4
+internal fault (a configuration that does not glue into a closed surface, or
+an exhaustive run outside its supported scale: a defect of the program, not
+of the input).
 """
 
 from __future__ import annotations
@@ -31,11 +34,13 @@ from .enumerators import (
     enumerate_genus2,
 )
 from .errors import (
+    EulerInconsistencyError,
     GuardAbort,
     PdStructureError,
     PdSyntaxError,
     PlanarityError,
     PreconditionError,
+    TractabilityError,
 )
 from .euler import euler_crosscheck
 from .render import render_diagram
@@ -435,6 +440,9 @@ def main(argv=None) -> int:
     except GuardAbort as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except (EulerInconsistencyError, TractabilityError) as e:
+        print(f"error: internal fault: {e}", file=sys.stderr)
+        return 4
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -26,6 +26,20 @@ word has two punctures in two blocks (7, 8), length four (9), and its two
 saddles join faces of opposite checkerboard colours, so they never share a
 channel (2).
 
+The general search builds only words that pass every word check too, and
+never calls `check_word`.  Its walks are prepared once per diagram as moves
+that carry their letter, destination face, the crossings the letter touches
+and the moves allowed to follow them.  Property 2 is pruned with a mask of
+the channels a walk has used.  Properties 5 and 6 are pruned letter by letter
+through the follow lists.  A walk closes only at an even length of at least
+4 (9), and there the closing pair (last letter, first letter) is tested for
+5 and 6.  Property 8 is read from the walk's puncture count, and property 7
+from its P/S skeleton: the word has saddles and at most one cyclic P-to-S
+block start.  Each property a closed walk breaks is tallied once, exactly as
+`check_word` tallies it, and only a walk that breaks none becomes a word.
+Walks and configuration assemblies keep their state on explicit stacks, so
+no budget meets the recursion limit.
+
 PSPS pairs are balanced and alternate by construction, so they never call
 `check_configuration` either.  The first word uses one channel at each of
 two distinct crossings and its partner uses exactly the flipped channels,
@@ -347,6 +361,60 @@ def _pattern_rotations(patterns) -> set[str] | None:
     return out
 
 
+class _Move:
+    """A step of the general search, prepared once per diagram.
+
+    `touches` holds the crossings the letter meets: both ends of the arc for
+    a puncture, the channel's crossing for a saddle.  `bit` marks a saddle's
+    channel in a walk's used-channel mask (0 for a puncture), `punctures` is
+    1 for a puncture and 0 for a saddle, and `follow` lists the moves that
+    may come next without breaking property 5 or 6.
+    """
+
+    __slots__ = ("kind", "letter", "dest", "touches", "bit", "punctures", "follow")
+
+    def __init__(self, g: AugmentedDualGraph, step: Step, bits: dict[SaddleChannel, int]):
+        puncture = step.kind == "P"
+        self.kind = step.kind
+        self.letter = Letter(step.kind, step.ref)
+        self.dest = step.dest
+        self.touches = frozenset(g.arc_crossings(step.ref) if puncture
+                                 else (step.ref.crossing,))
+        self.bit = 0 if puncture else bits[step.ref]
+        self.punctures = 1 if puncture else 0
+        self.follow: tuple[_Move, ...] = ()
+
+
+def _adjacent_fault(a: _Move, b: _Move) -> int | None:
+    """The property (5 or 6) that letter `b` breaks right after `a`, if any."""
+    if a.kind != b.kind:
+        return 6 if a.touches & b.touches else None
+    return 5 if a.kind == "P" and a.letter == b.letter else None
+
+
+def _moves(g: AugmentedDualGraph) -> dict[int, tuple[_Move, ...]]:
+    """The moves leaving each face, each linked to the moves that may follow it."""
+    bits = {ch: 1 << i for i, ch in enumerate(g.s_edges)}
+    moves = {f: tuple(_Move(g, step, bits) for step in g.steps_from(f)) for f in g.nodes}
+    for out in moves.values():
+        for m in out:
+            m.follow = tuple(n for n in moves[m.dest] if _adjacent_fault(m, n) is None)
+    return moves
+
+
+def _closing_faults(first: _Move, last: _Move, p: int, kinds: str) -> set[int]:
+    """The word properties a closed walk breaks (module docstring)."""
+    faults = set()
+    fault = _adjacent_fault(last, first)
+    if fault is not None:
+        faults.add(fault)
+    if p < len(kinds) and (kinds + kinds[0]).count("PS") <= 1:
+        faults.add(7)
+    if p < 2:
+        faults.add(8)
+    return faults
+
+
 def _general_words(
     g: AugmentedDualGraph,
     budget: EnumerationBudget,
@@ -355,55 +423,56 @@ def _general_words(
     diagnostics: dict[int, int],
 ) -> list[CurveWord]:
     max_len = budget.max_word_length
+    prefixes = None
     if rotations is not None:
         max_len = min(max_len, max(len(p) for p in rotations))
+        prefixes = {r[:i] for r in rotations for i in range(1, len(r) + 1)}
+    max_p = budget.max_punctures
+    moves = _moves(g)
     seen: set[CurveWord] = set()
 
-    def extend(start: int, letters: tuple, faces: tuple, used: frozenset, p_used: int):
-        guard.tick()
-        here = faces[-1]
-        length = len(letters)
-        if length and here == start and length >= 4 and length % 2 == 0:
-            # p_used is pruned at the budget below, so all-puncture words are
-            # already capped at max_punctures letters here; faces carries the
-            # closing repeat of the start face, dropped for the word
-            word = CurveWord(letters, faces[:-1])
-            if rotations is None or word_pattern(word) in rotations:
-                bad = check_word(g, word)
-                if bad:
-                    _tally(diagnostics, bad)
-                else:
-                    seen.add(canonicalize(word))
-        if length == max_len:
-            return
-        kinds_prefix = "" if rotations is None else "".join(l.kind for l in letters)
-        for step in g.steps_from(here):
-            if rotations is not None:
-                want = kinds_prefix + step.kind
-                if not any(r.startswith(want) for r in rotations):
-                    continue
-            if step.kind == "P":
-                if p_used + 1 > budget.max_punctures:
-                    continue
-                if letters and letters[-1].kind == "P" and letters[-1].ref == step.ref:
-                    continue  # property 5
-                if letters and letters[-1].kind == "S" and \
-                        letters[-1].ref.crossing in g.arc_crossings(step.ref):
-                    continue  # property 6
-                extend(start, letters + (Letter("P", step.ref),),
-                       faces + (step.dest,), used, p_used + 1)
-            else:
-                if step.ref in used:
-                    continue  # property 2
-                if letters and letters[-1].kind == "P" and \
-                        step.ref.crossing in g.arc_crossings(letters[-1].ref):
-                    continue  # property 6
-                extend(start, letters + (Letter("S", step.ref),),
-                       faces + (step.dest,), used | {step.ref}, p_used)
-
     for start in g.nodes:
-        extend(start, (), (start,), frozenset(), 0)
+        # A frame is a partial walk: its last move, the frame before it, its
+        # first move, its punctures, its used-channel mask and its P/S
+        # skeleton.  The root frame is the empty walk at `start`.
+        stack = [(None, None, None, 0, 0, "")]
+        while stack:
+            frame = stack.pop()
+            last, _, first, p, used, kinds = frame
+            guard.tick()
+            length = len(kinds)
+            if length >= 4 and length % 2 == 0 and last.dest == start \
+                    and (rotations is None or kinds in rotations):
+                faults = _closing_faults(first, last, p, kinds)
+                for prop in faults:
+                    _bump(diagnostics, prop)
+                if not faults:
+                    seen.add(canonicalize(_frame_word(frame, start)))
+            if length == max_len:
+                continue
+            for m in moves[start] if last is None else last.follow:
+                if used & m.bit or p + m.punctures > max_p:
+                    continue  # property 2, or the puncture budget
+                skeleton = kinds + m.kind
+                if prefixes is not None and skeleton not in prefixes:
+                    continue
+                stack.append((m, frame, first or m, p + m.punctures, used | m.bit, skeleton))
     return sorted(seen)
+
+
+def _frame_word(frame: tuple, start: int) -> CurveWord:
+    """The word a closed walk spells, its face trace beginning at `start`."""
+    # built from lists, not generators: a tuple grown from a generator is
+    # resized, so when freed it joins the free list of another size, and
+    # each word would leave a tuple behind until those lists are full
+    letters, faces = [], []
+    while frame[0] is not None:
+        letters.append(frame[0].letter)
+        frame = frame[1]
+        faces.append(start if frame[0] is None else frame[0].dest)
+    letters.reverse()
+    faces.reverse()
+    return CurveWord(tuple(letters), tuple(faces))
 
 
 def enumerate_general(
@@ -425,33 +494,39 @@ def enumerate_general(
     guard = _Guard(guard_cap)
     diagnostics: dict[int, int] = {}
     rotations = _pattern_rotations(patterns)
-    # sorted by puncture count, so the assembly loop can stop at the first
-    # word past the budget; the order does not change which multisets it visits
+    # sorted by puncture count, so a selection's next words can stop at the
+    # first word past the budget; the order does not change which multisets
+    # are visited
     pool = sorted(_general_words(g, budget, rotations, guard, diagnostics),
                   key=lambda w: w.p_count)
     p_counts = [w.p_count for w in pool]
+    max_p = budget.max_punctures
 
     configs: set[Configuration] = set()
 
-    def assemble(index: int, chosen: list[CurveWord], p_total: int):
-        guard.tick()
-        if chosen:
-            cfg = make_configuration(chosen)
-            bad = check_configuration(g, cfg)
-            if bad:
-                _tally(diagnostics, bad)
-            else:
-                configs.add(cfg)
-        if len(chosen) == budget.max_curves:
-            return
-        for i in range(index, len(pool)):
-            if p_total + p_counts[i] > budget.max_punctures:
-                break
-            chosen.append(pool[i])
-            assemble(i, chosen, p_total + p_counts[i])
-            chosen.pop()
+    def fits(i: int, p_total: int) -> bool:
+        return i < len(pool) and p_total + p_counts[i] <= max_p
 
-    assemble(0, [], 0)
+    # Multisets of pool words, depth first.  An entry (i, chosen, p_total)
+    # is the selection `chosen` plus pool[i]; it stands for its later
+    # siblings too, which are pushed only when it is reached.
+    guard.tick()  # the empty selection
+    stack = [(0, (), 0)] if budget.max_curves and fits(0, 0) else []
+    while stack:
+        i, chosen, p_total = stack.pop()
+        if fits(i + 1, p_total):
+            stack.append((i + 1, chosen, p_total))
+        guard.tick()
+        chosen += (pool[i],)
+        p_total += p_counts[i]
+        cfg = make_configuration(chosen)
+        bad = check_configuration(g, cfg)
+        if bad:
+            _tally(diagnostics, bad)
+        else:
+            configs.add(cfg)
+        if len(chosen) < budget.max_curves and fits(i, p_total):
+            stack.append((i, chosen, p_total))
     return EnumerationResult(tuple(sorted(configs)), diagnostics, guard.visited)
 
 

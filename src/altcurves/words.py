@@ -28,6 +28,10 @@ The executable constraints are numbered the way the count arguments use them:
 
 Property 1 (each curve bounds a disk) is a modeling assumption and has no
 check.
+
+The specialized and general enumerators build their words to pass these
+checks and never call `check_word`.  It is the brute-force oracle's filter,
+and the tests run it on what the enumerators emit.
 """
 
 from __future__ import annotations

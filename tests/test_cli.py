@@ -2,12 +2,18 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import altcurves
 from altcurves import cli, dualgraph, enumerators
 from altcurves.cli import CONFIG_COLUMNS, REPORT_COLUMNS, main
 from altcurves.enumerators import EnumerationResult
+from altcurves.errors import EulerInconsistencyError, TractabilityError
 
 from conftest import FIXTURE_DIR, fixture_path
 
@@ -125,6 +131,37 @@ def test_enumerate_guard_flag(capsys):
         err = capsys.readouterr().err
         assert "--guard-cap: expected a positive integer" in err
         assert "guard tripped" not in err
+
+
+def test_deep_genus_trips_the_guard_without_a_traceback():
+    # genus 300 allows words of 5984 letters, far past Python's recursion
+    # limit, so the walk must not recurse once per letter; 1500 visits take
+    # the first walk past that limit
+    src = str(Path(altcurves.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-m", "altcurves.cli", "enumerate", str(fixture_path("hopf")),
+         "--genus", "300", "--guard-cap", "1500"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 3
+    assert "guard tripped: 1501 partial walks" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("target,error,argv", [
+    ("euler_crosscheck", EulerInconsistencyError("complex does not close up"),
+     ["enumerate", TREFOIL]),
+    ("enumerate_genus2", TractabilityError("outside the supported scale"),
+     ["bounds", TREFOIL]),
+], ids=["euler", "tractability"])
+def test_internal_faults_exit_4(target, error, argv, monkeypatch, capsys):
+    def raiser(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, target, raiser)
+    assert main(argv) == 4
+    assert f"error: internal fault: {error}" in capsys.readouterr().err
 
 
 def test_report_jobs_below_one_rejected(capsys):

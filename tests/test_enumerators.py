@@ -1,6 +1,8 @@
 """Enumeration: specialized families, general search, oracle agreement."""
 
+import inspect
 import random
+import sys
 from collections import Counter
 from math import comb
 
@@ -13,6 +15,7 @@ from altcurves.diagram import build_diagram, parse_pd
 from altcurves.dualgraph import SaddleChannel, build_dual
 from altcurves.enumerators import (
     EnumerationBudget,
+    EnumerationResult,
     budgets,
     classify_family,
     enumerate_general,
@@ -27,13 +30,16 @@ from altcurves.errors import GuardAbort, TractabilityError
 from altcurves.words import (
     CurveWord,
     Letter,
+    canonicalize,
     check_configuration,
     check_word,
+    make_configuration,
     serialize_word,
 )
 
 from conftest import (TORUS_NAMES, VALID_NAMES, has_consecutive_saddles, load_dual, relabel,
                       two_bridge_pd)
+from gen_fixtures import leaf, parallel, pd_from_tree, series
 
 # class counts certified against oracle_enumerate(max_len=4) on every fixture
 EXPECTED = {
@@ -223,6 +229,23 @@ def test_guard_abort_carries_stats():
     assert "partial walks" in str(err.value)
 
 
+def test_assembly_depth_is_not_bounded_by_the_stack():
+    # a selection may hold max_curves words; the assembly keeps selections
+    # on an explicit stack, so its depth never meets the recursion limit,
+    # lowered here to keep the selections short
+    g = load_dual("hopf")
+    budget = EnumerationBudget(2, 4 * 400, 400, 4)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        result = enumerate_general(g, budget)
+    finally:
+        sys.setrecursionlimit(limit)
+    # the hopf link's one 4-letter word, taken 1 to 400 times
+    assert len({w for cfg in result.configurations for w in cfg.words_plus}) == 1
+    assert [len(cfg.words_plus) for cfg in result.configurations] == list(range(1, 401))
+
+
 def test_budget_fields():
     b = EnumerationBudget(2, 4, 2, 24)
     assert (b.genus, b.max_punctures, b.max_curves, b.max_word_length) == (2, 4, 2, 24)
@@ -379,3 +402,158 @@ def test_psps_diagnostics_equal_check_word_tally(g, monkeypatch):
     # PSPS generation builds only words that pass every word check
     assert checked == []
     assert all(check_word(g, w) == [] for w in enumerators._psps_words(g, {}))
+
+
+# ----------------------------------------------------------------------------
+# the general search against a walk that filters closed walks with check_word
+# ----------------------------------------------------------------------------
+
+
+def _reference_general(g, budget, patterns):
+    """The general search with every closed walk filtered by `check_word`.
+
+    Returns the word pool, the guard's visits and the diagnostics as they
+    stand after the walk, as one tuple, and then the full EnumerationResult.
+    Recursive, so only for small budgets.
+    """
+    guard = enumerators._Guard(enumerators.DEFAULT_GUARD_CAP)
+    diagnostics: dict[int, int] = {}
+    rotations = enumerators._pattern_rotations(patterns)
+    max_len = budget.max_word_length
+    if rotations is not None:
+        max_len = min(max_len, max(len(p) for p in rotations))
+    seen = set()
+
+    def tally(violations):
+        for prop in {v.prop for v in violations}:
+            diagnostics[prop] = diagnostics.get(prop, 0) + 1
+
+    def extend(start, letters, faces, used, p_used):
+        guard.tick()
+        here = faces[-1]
+        length = len(letters)
+        if length and here == start and length >= 4 and length % 2 == 0:
+            word = CurveWord(letters, faces[:-1])
+            if rotations is None or "".join(l.kind for l in letters) in rotations:
+                bad = check_word(g, word)
+                if bad:
+                    tally(bad)
+                else:
+                    seen.add(canonicalize(word))
+        if length == max_len:
+            return
+        kinds = "" if rotations is None else "".join(l.kind for l in letters)
+        prev = letters[-1] if letters else None
+        for step in g.steps_from(here):
+            if rotations is not None and \
+                    not any(r.startswith(kinds + step.kind) for r in rotations):
+                continue
+            if step.kind == "P":
+                if p_used == budget.max_punctures:
+                    continue
+                if prev and prev.kind == "P" and prev.ref == step.ref:
+                    continue  # property 5
+                if prev and prev.kind == "S" and \
+                        prev.ref.crossing in g.arc_crossings(step.ref):
+                    continue  # property 6
+                extend(start, letters + (Letter("P", step.ref),),
+                       faces + (step.dest,), used, p_used + 1)
+            else:
+                if step.ref in used:
+                    continue  # property 2
+                if prev and prev.kind == "P" and \
+                        step.ref.crossing in g.arc_crossings(prev.ref):
+                    continue  # property 6
+                extend(start, letters + (Letter("S", step.ref),),
+                       faces + (step.dest,), used | {step.ref}, p_used)
+
+    for start in g.nodes:
+        extend(start, (), (start,), frozenset(), 0)
+    words = sorted(seen)
+    walk = (words, guard.visited, dict(diagnostics))
+
+    pool = sorted(words, key=lambda w: w.p_count)
+    configs = set()
+
+    def assemble(index, chosen, p_total):
+        guard.tick()
+        if chosen:
+            cfg = make_configuration(chosen)
+            bad = check_configuration(g, cfg)
+            if bad:
+                tally(bad)
+            else:
+                configs.add(cfg)
+        if len(chosen) == budget.max_curves:
+            return
+        for i in range(index, len(pool)):
+            if p_total + pool[i].p_count > budget.max_punctures:
+                break
+            assemble(i, chosen + [pool[i]], p_total + pool[i].p_count)
+
+    assemble(0, [], 0)
+    return walk, EnumerationResult(tuple(sorted(configs)), diagnostics, guard.visited)
+
+
+def _pretzel_pd(bundles):
+    return pd_from_tree(series([parallel([leaf()] * k) for k in bundles]))
+
+
+GENUS2_SKELETONS = ("PPPP", "PSPS")
+EQUIVALENCE_CASES = (
+    [(name, 2, GENUS2_SKELETONS) for name in VALID_NAMES]
+    + [(name, 3, None) for name in ("hopf", "k3_1", "k4_1")]
+    + [
+        ("two_bridge_2_2", 2, None),
+        ("pretzel_2_2", 2, None),
+        ("two_bridge_3_1_2", 2, GENUS2_SKELETONS + ("PPPPPP", "PSPPSP")),
+        ("pretzel_2_2_2", 2, GENUS2_SKELETONS + ("PPSPPS",)),
+        ("pretzel_3_1_2", 2, GENUS2_SKELETONS + ("PPPPPP", "PSPSPS")),
+    ]
+)
+GENERATED = {
+    "two_bridge_2_2": lambda: two_bridge_pd([2, 2]),
+    "pretzel_2_2": lambda: _pretzel_pd([2, 2]),
+    "two_bridge_3_1_2": lambda: two_bridge_pd([3, 1, 2]),
+    "pretzel_2_2_2": lambda: _pretzel_pd([2, 2, 2]),
+    "pretzel_3_1_2": lambda: _pretzel_pd([3, 1, 2]),
+}
+
+
+def _equivalence_dual(name):
+    if name in GENERATED:
+        rng = random.Random(sum(map(ord, name)))
+        return build_dual(build_diagram(parse_pd(relabel(GENERATED[name](), rng))))
+    return load_dual(name)
+
+
+@pytest.mark.parametrize("name,genus,patterns", EQUIVALENCE_CASES,
+                         ids=[f"{n}-g{g}" for n, g, _ in EQUIVALENCE_CASES])
+def test_general_search_equals_check_word_reference(name, genus, patterns, monkeypatch):
+    g = _equivalence_dual(name)
+    walk, expected = _reference_general(g, budgets(genus), patterns)
+
+    real_words = enumerators._general_words
+    seen = []
+
+    def spying_words(graph, budget, rotations, guard, diagnostics):
+        words = real_words(graph, budget, rotations, guard, diagnostics)
+        seen.append((words, guard.visited, dict(diagnostics)))
+        return words
+
+    checked = []
+
+    def counting_check_word(graph, word):
+        checked.append(word)
+        return check_word(graph, word)
+
+    monkeypatch.setattr(enumerators, "_general_words", spying_words)
+    monkeypatch.setattr(enumerators, "check_word", counting_check_word)
+    result = enumerate_general(g, budgets(genus), patterns=patterns)
+    assert seen == [walk]
+    assert result.configurations == expected.configurations
+    assert result.diagnostics == expected.diagnostics
+    assert result.visited == expected.visited
+    # the walk settles every word property by construction
+    assert checked == []
+    assert all(check_word(g, w) == [] for w in walk[0])
