@@ -73,7 +73,6 @@ from .words import (
     canonicalize,
     check_configuration,
     check_word,
-    is_canonical,
     make_configuration,
     serialize_word,
     word_pattern,

@@ -9,42 +9,42 @@ Three layers, kept deliberately separate:
   balance constraints, bounded by the genus-g search budget (`budgets`) and
   by a cap on the partial walks it visits (the guard, `DEFAULT_GUARD_CAP`);
 * a brute-force oracle that walks every closed path up to a small length and
-  filters with the public checks only, used to confirm the specialized
-  results on fixtures.
+  filters with the public checks only; the tests quotient its families pair
+  by pair and compare them with the specialized results.
 
-Counting quotients ("three punctures determine the fourth", "two saddles
-determine the pair") are applied as dedup relations after generation, never
-as generation shortcuts, so the oracle can verify them.  They are computed by
-bucketing, in time linear in the words quotiented.
+All but the oracle walk one table, `_moves`, built once per diagram (once
+for both families in `enumerate_genus2`): the moves leaving each face, each
+with its letter, destination face and the crossings it touches, and the
+moves that may follow each move.  `_adjacent_fault` alone decides
+properties 5 and 6 for two adjacent letters.  No walker calls `check_word`:
+each builds only clean words.
 
-The genus-2 generators build only words that pass every word check, so they
-never call `check_word`.  PPPP walks skip immediate re-punctures (property 5)
-and close at four letters (property 9).  PSPS walks are tested for property 6
-as they grow; a walk failing it is dropped and tallied in the diagnostics
-exactly as `check_word` would tally it.  No other property can fail: a PSPS
-word has two punctures in two blocks (7, 8), length four (9), and its two
-saddles join faces of opposite checkerboard colours, so they never share a
-channel (2).
-
-The general search builds only words that pass every word check too, and
-never calls `check_word`.  Its walks are prepared once per diagram as moves
-that carry their letter, destination face, the crossings the letter touches
-and the moves allowed to follow them.  Property 2 is pruned with a mask of
-the channels a walk has used.  Properties 5 and 6 are pruned letter by letter
-through the follow lists.  A walk closes only at an even length of at least
-4 (9), and there the closing pair (last letter, first letter) is tested for
-5 and 6.  Property 8 is read from the walk's puncture count, and property 7
-from its P/S skeleton: the word has saddles and at most one cyclic P-to-S
-block start.  Each property a closed walk breaks is tallied once, exactly as
-`check_word` tallies it, and only a walk that breaks none becomes a word.
-Walks and configuration assemblies keep their state on explicit stacks, so
-no budget meets the recursion limit.
-
-PSPS pairs are balanced and alternate by construction, so they never call
-`check_configuration` either.  The first word uses one channel at each of
-two distinct crossings and its partner uses exactly the flipped channels,
-so every crossing gets one passage through each channel on each sphere (4);
-a PSPS word never has two saddles next to each other (3).
+* PPPP walks follow the follow lists from their least arc and close at four
+  letters (9), the closing pair tested for 5.  On a prime diagram no two
+  clean PPPP words share three arcs, so "three punctures determine the
+  fourth" needs no quotient.  A closed walk ends at each face an even
+  number of times, so a word's fourth arc joins the two faces its other
+  three arcs end at an odd number of times.  Two distinct such fourth arcs
+  form the 2-edge cut `validate` rejects.  Equal ones give the same arcs,
+  which close up in one 4-cycle only (no arc is a loop, no two arcs join
+  the same two faces), so the same canonical word.
+* PSPS walks test each adjacency for property 6 and tally a failing walk
+  once, as `check_word` would.  Nothing else can fail: two punctures in two
+  blocks (7, 8), length four (9), and saddles joining faces of opposite
+  checkerboard colours, so no channel twice (2).  Each channel set C keeps
+  its least word, and each unordered {C, flip(C)} across two crossings
+  gives one pair.  Pairs share a channel set exactly when they share
+  {C, flip(C)}, so this is the least pair of its class under "two saddles
+  determine the pair".  It is balanced (4) and has no adjacent saddles (3)
+  by construction, so it skips `check_configuration`.
+* The general search prunes property 2 with a mask of used channels, and 5
+  and 6 through the follow lists.  A walk closes only at an even length of
+  at least 4 (9); there the closing pair is tested for 5 and 6, property 8
+  is read from the puncture count and 7 from the P/S skeleton (saddles
+  present, at most one cyclic P-to-S block start).  Each property a closed
+  walk breaks is tallied once, as `check_word` tallies it.  Walks and
+  assemblies keep their state on explicit stacks, so no budget meets the
+  recursion limit.
 
 The minus sphere of every emitted configuration mirrors the plus sphere:
 each saddle passes to the other sphere and the curve family closes up
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 from .dualgraph import AugmentedDualGraph, SaddleChannel, Step
 from .errors import GuardAbort, TractabilityError
@@ -84,8 +83,6 @@ __all__ = [
     "enumerate_general",
     "oracle_enumerate",
     "classify_family",
-    "puncture_class_representatives",
-    "saddle_pair_class_representatives",
 ]
 
 DEFAULT_GUARD_CAP = 10_000_000
@@ -169,69 +166,9 @@ def classify_family(cfg: Configuration) -> str:
         w1, w2 = cfg.words_plus
         if word_pattern(w1) == word_pattern(w2) == "PSPS":
             ch1, ch2 = _channels(w1), _channels(w2)
-            if (
-                len({c.crossing for c in ch1}) == 2
-                and ch2 == frozenset(_flip(c) for c in ch1)
-            ):
+            if len({c.crossing for c in ch1}) == 2 and ch2 == frozenset(map(_flip, ch1)):
                 return "psps_pair"
     return "other"
-
-
-# ----------------------------------------------------------------------------
-# dedup quotients
-# ----------------------------------------------------------------------------
-
-
-def _class_leaders(items: list, keys) -> list:
-    """The least member of each class of a sorted list, in order.
-
-    Two items are related when `keys` yields a common bucket for both; the
-    classes are the transitive closure.  Each item is united with the first
-    item seen in each of its buckets, so the cost is linear in the number of
-    keys rather than quadratic in the number of items.
-    """
-    parent = list(range(len(items)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    first: dict = {}
-    for i, item in enumerate(items):
-        for key in keys(item):
-            j = first.setdefault(key, i)
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    return [item for i, item in enumerate(items) if find(i) == i]
-
-
-def puncture_class_representatives(words: list[CurveWord]) -> list[CurveWord]:
-    """Quotient PPPP words by "three shared punctures determine the fourth".
-
-    Words whose arc multisets agree in at least three of four positions are
-    identified; each class is returned by its least member.  Two multisets
-    share three elements exactly when they share a 3-element sub-multiset, so
-    each word is bucketed by its (at most four) sorted arc triples.
-    """
-    items = sorted(words)
-
-    def triples(w: CurveWord):
-        return set(combinations(sorted(l.ref for l in w.letters), 3))
-
-    return _class_leaders(items, triples)
-
-
-def saddle_pair_class_representatives(pairs: list[tuple[CurveWord, CurveWord]]):
-    """Quotient PSPS pairs by "two saddles determine the curve".
-
-    Pairs containing words with identical channel sets are identified; each
-    class is returned by its least member.
-    """
-    items = sorted(tuple(sorted(pair)) for pair in pairs)
-    return _class_leaders(items, lambda p: {_channels(w) for w in p})
 
 
 def _bump(diagnostics: dict[int, int], prop: int) -> None:
@@ -244,94 +181,134 @@ def _tally(diagnostics: dict[int, int], violations) -> None:
 
 
 # ----------------------------------------------------------------------------
+# moves, shared by every walker but the oracle
+# ----------------------------------------------------------------------------
+
+
+class _Move:
+    """A step of a walk, prepared once per diagram.
+
+    `touches` holds the crossings the letter meets: both ends of the arc for
+    a puncture, the channel's crossing for a saddle.  `bit` marks a saddle's
+    channel in a walk's used-channel mask (0 for a puncture), and
+    `punctures` is 1 for a puncture and 0 for a saddle.
+    """
+
+    __slots__ = ("kind", "letter", "dest", "touches", "bit", "punctures")
+
+    def __init__(self, g: AugmentedDualGraph, step: Step, bits: dict[SaddleChannel, int]):
+        puncture = step.kind == "P"
+        self.kind = step.kind
+        self.letter = Letter(step.kind, step.ref)
+        self.dest = step.dest
+        self.touches = frozenset(g.arc_crossings(step.ref) if puncture
+                                 else (step.ref.crossing,))
+        self.bit = 0 if puncture else bits[step.ref]
+        self.punctures = 1 if puncture else 0
+
+
+def _adjacent_fault(a: _Move, b: _Move) -> int | None:
+    """The property (5 or 6) that letter `b` breaks right after `a`, if any."""
+    if a.kind != b.kind:
+        return None if a.touches.isdisjoint(b.touches) else 6
+    return 5 if a.kind == "P" and a.letter == b.letter else None
+
+
+def _moves(g: AugmentedDualGraph) -> tuple[dict, dict]:
+    """The moves leaving each face, and those that may follow each move.
+
+    No move follows one it would break property 5 or 6 with.  No move links
+    to another, so a dropped table is freed at once, not by the cyclic GC.
+    """
+    bits = {ch: 1 << i for i, ch in enumerate(g.s_edges)}
+    moves = {f: tuple(_Move(g, step, bits) for step in g.steps_from(f)) for f in g.nodes}
+    follow = {m: tuple(n for n in moves[m.dest] if _adjacent_fault(m, n) is None)
+              for out in moves.values() for m in out}
+    return moves, follow
+
+
+# ----------------------------------------------------------------------------
 # specialized genus-2 enumerators
 # ----------------------------------------------------------------------------
 
 
-def enumerate_pppp(g: AugmentedDualGraph) -> EnumerationResult:
-    """All-puncture 4-letter curves, up to symmetry and the 3-puncture rule."""
+def enumerate_pppp(g: AugmentedDualGraph, table=None) -> EnumerationResult:
+    """All-puncture 4-letter curves, one configuration per clean word.
+
+    On a prime diagram no two of them share three arcs (module docstring).
+    `table` is `_moves(g)`, built here when not given.
+    """
+    moves, follow = table or _moves(g)
     seen: set[CurveWord] = set()
-    for start in g.nodes:
-        stack = [((), (start,))]
+    for start, out in moves.items():
+        stack = [(m,) for m in out if m.kind == "P"]
         while stack:
-            letters, faces = stack.pop()
-            here = faces[-1]
-            for step in g.steps_from(here):
-                if step.kind != "P":
-                    continue
-                if letters and step.ref < letters[0].ref:
-                    continue  # a canonical word starts at its least arc
-                if letters and letters[-1].ref == step.ref:
-                    continue  # immediate re-puncture, pruned by property 5
-                new_letters = letters + (Letter("P", step.ref),)
-                if len(new_letters) == 4:
-                    if step.dest != start or new_letters[0].ref == step.ref:
-                        continue
-                    seen.add(canonicalize(CurveWord(new_letters, faces)))
-                else:
-                    stack.append((new_letters, faces + (step.dest,)))
-
-    reps = puncture_class_representatives(list(seen))
-    return EnumerationResult(tuple(make_configuration([w]) for w in reps), {})
+            walk = stack.pop()
+            first, last = walk[0], walk[-1]
+            if len(walk) < 4:
+                # a canonical word starts at its least arc
+                stack.extend(walk + (m,) for m in follow[last]
+                             if m.kind == "P" and m.letter >= first.letter)
+            elif last.dest == start and _adjacent_fault(last, first) is None:
+                word = CurveWord(tuple(m.letter for m in walk),
+                                 (start,) + tuple(m.dest for m in walk[:-1]))
+                seen.add(canonicalize(word))
+    return EnumerationResult(tuple(make_configuration([w]) for w in sorted(seen)), {})
 
 
-def _psps_words(g: AugmentedDualGraph, diagnostics: dict[int, int]) -> list[CurveWord]:
-    # Every P-S adjacency of a PSPS walk is tested for property 6 as the walk
-    # grows; a walk passing it passes every word check (module docstring).
-    p_steps = {f: [s for s in g.steps_from(f) if s.kind == "P"] for f in g.nodes}
-    closing: dict[tuple[int, int], list[Step]] = {}  # S-steps by (from, to)
-    for f in g.nodes:
-        for s in g.steps_from(f):
-            if s.kind == "S":
-                closing.setdefault((f, s.dest), []).append(s)
-    ends = {arc: g.arc_crossings(arc) for arc in g.p_edges}
+def _psps_words(moves: dict, diagnostics: dict[int, int]) -> list[CurveWord]:
+    # A closed PSPS walk failing property 6 at any P-S adjacency is tallied
+    # once; one passing it passes every word check (module docstring).
+    closing: dict[tuple[int, int], list[_Move]] = {}  # S-moves by (from, to)
+    for f, out in moves.items():
+        for m in out:
+            if m.kind == "S":
+                closing.setdefault((f, m.dest), []).append(m)
 
     seen: set[CurveWord] = set()
-    for start in g.nodes:
-        for p1 in p_steps[start]:
-            for s1 in g.steps_from(p1.dest):
+    for start, out in moves.items():
+        for p1 in out:
+            if p1.kind != "P":
+                continue
+            for s1 in moves[p1.dest]:
                 if s1.kind != "S":
                     continue
-                bad_s1 = s1.ref.crossing in ends[p1.ref]
-                for p2 in p_steps[s1.dest]:
-                    bad_p2 = bad_s1 or s1.ref.crossing in ends[p2.ref]
+                bad_s1 = _adjacent_fault(p1, s1) is not None
+                for p2 in moves[s1.dest]:
+                    if p2.kind != "P":
+                        continue
+                    bad_p2 = bad_s1 or _adjacent_fault(s1, p2) is not None
                     for s2 in closing.get((p2.dest, start), ()):
-                        c = s2.ref.crossing
-                        if bad_p2 or c in ends[p2.ref] or c in ends[p1.ref]:
+                        if bad_p2 or _adjacent_fault(p2, s2) is not None \
+                                or _adjacent_fault(s2, p1) is not None:
                             _bump(diagnostics, 6)
                             continue
-                        seen.add(canonicalize(CurveWord(
-                            (Letter("P", p1.ref), Letter("S", s1.ref),
-                             Letter("P", p2.ref), Letter("S", s2.ref)),
-                            (start, p1.dest, s1.dest, p2.dest),
-                        )))
+                        word = CurveWord((p1.letter, s1.letter, p2.letter, s2.letter),
+                                         (start, p1.dest, s1.dest, p2.dest))
+                        seen.add(canonicalize(word))
     return sorted(seen)
 
 
-def enumerate_psps_pairs(g: AugmentedDualGraph) -> EnumerationResult:
+def enumerate_psps_pairs(g: AugmentedDualGraph, table=None) -> EnumerationResult:
     """Balanced pairs of PSPS curves through opposite channels of two crossings.
 
     A curve using the saddles of two distinct crossings forces its partner
-    through the remaining channels; pairs are quotiented by the two-saddle
-    rule after generation.
+    through the flipped channels.  Each channel set keeps its least word, and
+    each unordered {C, flip(C)} gives the pair of those least words
+    (module docstring).  `table` is `_moves(g)`, built here when not given.
     """
+    moves, _ = table or _moves(g)
     diagnostics: dict[int, int] = {}
-    words = _psps_words(g, diagnostics)
-    by_channel_set: dict[frozenset, list[CurveWord]] = {}
-    for w in words:
-        by_channel_set.setdefault(_channels(w), []).append(w)
-
-    pairs: set[tuple[CurveWord, ...]] = set()
-    for w1 in words:
-        ch = _channels(w1)
-        if len({c.crossing for c in ch}) != 2:
-            continue  # both saddles at one crossing never pair up
-        partner_set = frozenset(_flip(c) for c in ch)
-        for w2 in by_channel_set.get(partner_set, ()):
-            pairs.add(tuple(sorted((w1, w2))))
-
-    reps = saddle_pair_class_representatives(list(pairs))
-    return EnumerationResult(tuple(make_configuration(pair) for pair in reps), diagnostics)
+    least: dict[frozenset[SaddleChannel], CurveWord] = {}
+    for w in _psps_words(moves, diagnostics):
+        least.setdefault(_channels(w), w)
+    # a channel set at one crossing is its own flip, so it pairs with nothing
+    pairs = []
+    for ch, w1 in least.items():
+        w2 = least.get(frozenset(map(_flip, ch)))
+        if w2 is not None and w1 < w2:
+            pairs.append(make_configuration((w1, w2)))
+    return EnumerationResult(tuple(sorted(pairs)), diagnostics)
 
 
 def enumerate_genus2(g: AugmentedDualGraph) -> EnumerationResult:
@@ -340,8 +317,9 @@ def enumerate_genus2(g: AugmentedDualGraph) -> EnumerationResult:
     The count is not checked here: `bounds.compare` reports it against the
     2n^3 cap.
     """
-    pppp = enumerate_pppp(g)
-    psps = enumerate_psps_pairs(g)
+    table = _moves(g)
+    pppp = enumerate_pppp(g, table)
+    psps = enumerate_psps_pairs(g, table)
     # PPPP words are built clean, so only the PSPS pairs tally rejections
     return EnumerationResult(pppp.configurations + psps.configurations, psps.diagnostics)
 
@@ -359,47 +337,6 @@ def _pattern_rotations(patterns) -> set[str] | None:
         for r in range(len(pat)):
             out.add(pat[r:] + pat[:r])
     return out
-
-
-class _Move:
-    """A step of the general search, prepared once per diagram.
-
-    `touches` holds the crossings the letter meets: both ends of the arc for
-    a puncture, the channel's crossing for a saddle.  `bit` marks a saddle's
-    channel in a walk's used-channel mask (0 for a puncture), `punctures` is
-    1 for a puncture and 0 for a saddle, and `follow` lists the moves that
-    may come next without breaking property 5 or 6.
-    """
-
-    __slots__ = ("kind", "letter", "dest", "touches", "bit", "punctures", "follow")
-
-    def __init__(self, g: AugmentedDualGraph, step: Step, bits: dict[SaddleChannel, int]):
-        puncture = step.kind == "P"
-        self.kind = step.kind
-        self.letter = Letter(step.kind, step.ref)
-        self.dest = step.dest
-        self.touches = frozenset(g.arc_crossings(step.ref) if puncture
-                                 else (step.ref.crossing,))
-        self.bit = 0 if puncture else bits[step.ref]
-        self.punctures = 1 if puncture else 0
-        self.follow: tuple[_Move, ...] = ()
-
-
-def _adjacent_fault(a: _Move, b: _Move) -> int | None:
-    """The property (5 or 6) that letter `b` breaks right after `a`, if any."""
-    if a.kind != b.kind:
-        return 6 if a.touches & b.touches else None
-    return 5 if a.kind == "P" and a.letter == b.letter else None
-
-
-def _moves(g: AugmentedDualGraph) -> dict[int, tuple[_Move, ...]]:
-    """The moves leaving each face, each linked to the moves that may follow it."""
-    bits = {ch: 1 << i for i, ch in enumerate(g.s_edges)}
-    moves = {f: tuple(_Move(g, step, bits) for step in g.steps_from(f)) for f in g.nodes}
-    for out in moves.values():
-        for m in out:
-            m.follow = tuple(n for n in moves[m.dest] if _adjacent_fault(m, n) is None)
-    return moves
 
 
 def _closing_faults(first: _Move, last: _Move, p: int, kinds: str) -> set[int]:
@@ -428,7 +365,7 @@ def _general_words(
         max_len = min(max_len, max(len(p) for p in rotations))
         prefixes = {r[:i] for r in rotations for i in range(1, len(r) + 1)}
     max_p = budget.max_punctures
-    moves = _moves(g)
+    moves, follow = _moves(g)
     seen: set[CurveWord] = set()
 
     for start in g.nodes:
@@ -450,7 +387,7 @@ def _general_words(
                     seen.add(canonicalize(_frame_word(frame, start)))
             if length == max_len:
                 continue
-            for m in moves[start] if last is None else last.follow:
+            for m in moves[start] if last is None else follow[last]:
                 if used & m.bit or p + m.punctures > max_p:
                     continue  # property 2, or the puncture budget
                 skeleton = kinds + m.kind

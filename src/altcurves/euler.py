@@ -8,12 +8,11 @@ out an integer or the configuration is rejected as inconsistent.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EulerInconsistencyError
-from .words import Configuration, CurveWord
+from .words import Configuration, channel_counts
 
 __all__ = [
     "polygon_contribution",
@@ -67,15 +66,6 @@ class PolygonComplex:
         return self.vertices - self.edges + self.polygons
 
 
-def _side_counts(words: tuple[CurveWord, ...]) -> Counter:
-    counts: Counter = Counter()
-    for w in words:
-        for letter in w.letters:
-            if letter.kind == "S":
-                counts[(letter.ref.crossing, letter.ref.side)] += 1
-    return counts
-
-
 def build_polygon_complex(cfg: Configuration) -> PolygonComplex:
     """Glue the configuration's polygons along saddles into a complex.
 
@@ -83,8 +73,8 @@ def build_polygon_complex(cfg: Configuration) -> PolygonComplex:
     times A/B channel) must have equal height, or the corners cannot be
     matched around vertices; unequal stacks raise EulerInconsistencyError.
     """
-    plus = _side_counts(cfg.words_plus)
-    minus = _side_counts(cfg.words_minus)
+    plus = channel_counts(cfg.words_plus)
+    minus = channel_counts(cfg.words_minus)
     crossings = {c for (c, _) in plus} | {c for (c, _) in minus}
 
     per_crossing: dict[int, int] = {}

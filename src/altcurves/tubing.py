@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 from .words import Configuration
 
@@ -23,7 +23,6 @@ __all__ = [
     "enumerate_circle_tubings",
     "enumerate_tubings",
     "count_tubings",
-    "circles_from_configuration",
     "configuration_tubing_count",
     "closed_surface_upper_bound",
 ]
@@ -110,20 +109,13 @@ def count_tubings(tubes: int) -> int:
     return comb(2 * tubes, tubes)
 
 
-def circles_from_configuration(cfg: Configuration) -> tuple[PunctureCircle, ...]:
-    """One puncture circle per curve on the plus sphere."""
-    return tuple(
-        PunctureCircle(label=f"plus:{i}", punctures=w.p_count)
-        for i, w in enumerate(cfg.words_plus)
-    )
-
-
 def configuration_tubing_count(cfg: Configuration) -> int:
-    """Number of closed surfaces one configuration can tube up into."""
-    total = 1
-    for circle in circles_from_configuration(cfg):
-        total *= count_tubings(circle.punctures // 2)
-    return total
+    """Number of closed surfaces one configuration can tube up into.
+
+    Every plus curve punctures evenly: a puncture changes the checkerboard
+    colour of the face and a saddle, joining opposite corners, keeps it.
+    """
+    return prod(count_tubings(w.p_count // 2) for w in cfg.words_plus)
 
 
 def closed_surface_upper_bound(config_count: int, genus: int) -> int:

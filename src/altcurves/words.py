@@ -36,6 +36,7 @@ and the tests run it on what the enumerators emit.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,11 +49,11 @@ __all__ = [
     "Violation",
     "Configuration",
     "canonicalize",
-    "is_canonical",
     "word_pattern",
     "serialize_word",
     "check_word",
     "check_configuration",
+    "channel_counts",
     "make_configuration",
 ]
 
@@ -125,10 +126,6 @@ def canonicalize(w: CurveWord) -> CurveWord:
             if best is None or key < best:
                 best = key
     return CurveWord(*best)
-
-
-def is_canonical(w: CurveWord) -> bool:
-    return w == canonicalize(w)
 
 
 def word_pattern(w: CurveWord) -> str:
@@ -258,14 +255,9 @@ def make_configuration(words) -> Configuration:
     return Configuration(plus, plus)
 
 
-def _channel_counts(words) -> dict[int, dict[str, int]]:
-    counts: dict[int, dict[str, int]] = {}
-    for w in words:
-        for letter in w.letters:
-            if letter.kind == "S":
-                per = counts.setdefault(letter.ref.crossing, {"A": 0, "B": 0})
-                per[letter.ref.side] += 1
-    return counts
+def channel_counts(words) -> Counter[SaddleChannel]:
+    """Passages through each channel; a channel equals its (crossing, side)."""
+    return Counter(l.ref for w in words for l in w.letters if l.kind == "S")
 
 
 def check_configuration(g: AugmentedDualGraph, cfg: Configuration) -> list[Violation]:
@@ -276,11 +268,13 @@ def check_configuration(g: AugmentedDualGraph, cfg: Configuration) -> list[Viola
     """
     out: list[Violation] = []
     for side_name, words in (("plus", cfg.words_plus), ("minus", cfg.words_minus)):
-        for crossing, per in sorted(_channel_counts(words).items()):
-            if per["A"] != per["B"]:
+        counts = channel_counts(words)
+        for crossing in sorted({ch.crossing for ch in counts}):
+            a, b = counts[(crossing, "A")], counts[(crossing, "B")]
+            if a != b:
                 out.append(Violation(
                     4, crossing,
-                    f"{side_name} sphere: crossing {crossing} has {per['A']} passages "
-                    f"through channel A but {per['B']} through B",
+                    f"{side_name} sphere: crossing {crossing} has {a} passages "
+                    f"through channel A but {b} through B",
                 ))
     return out

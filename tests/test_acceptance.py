@@ -25,8 +25,6 @@ from altcurves.enumerators import (
     classify_family,
     enumerate_genus2,
     oracle_enumerate,
-    puncture_class_representatives,
-    saddle_pair_class_representatives,
 )
 from altcurves.euler import (
     build_polygon_complex,
@@ -52,7 +50,8 @@ from altcurves.words import (
     serialize_word,
 )
 
-from conftest import FIXTURE_DIR, VALID_NAMES, has_consecutive_saddles, load_diagram, load_dual
+from conftest import (FIXTURE_DIR, VALID_NAMES, has_consecutive_saddles, load_diagram, load_dual,
+                      pairwise_puncture_reps, pairwise_saddle_reps)
 
 
 def test_exact_formula_values():
@@ -91,10 +90,9 @@ def test_specialized_enumerators_match_oracle():
                   if classify_family(c) == "pppp"]
         o_pairs = [tuple(c.words_plus) for c in oracle.configurations
                    if classify_family(c) == "psps_pair"]
-        oracle_pppp = sorted(serialize_word(w)
-                             for w in puncture_class_representatives(o_pppp))
+        oracle_pppp = sorted(serialize_word(w) for w in pairwise_puncture_reps(o_pppp))
         oracle_pairs = sorted(tuple(map(serialize_word, p))
-                              for p in saddle_pair_class_representatives(o_pairs))
+                              for p in pairwise_saddle_reps(o_pairs))
 
         spec_pppp = sorted(serialize_word(c.words_plus[0])
                            for c in spec.configurations

@@ -3,15 +3,13 @@
 import inspect
 import random
 import sys
-from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from altcurves import enumerators
-from altcurves.diagram import build_diagram, parse_pd
+from altcurves.diagram import build_diagram, parse_pd, validate
 from altcurves.dualgraph import SaddleChannel, build_dual
 from altcurves.enumerators import (
     EnumerationBudget,
@@ -23,8 +21,6 @@ from altcurves.enumerators import (
     enumerate_pppp,
     enumerate_psps_pairs,
     oracle_enumerate,
-    puncture_class_representatives,
-    saddle_pair_class_representatives,
 )
 from altcurves.errors import GuardAbort, TractabilityError
 from altcurves.words import (
@@ -37,8 +33,9 @@ from altcurves.words import (
     serialize_word,
 )
 
-from conftest import (TORUS_NAMES, VALID_NAMES, has_consecutive_saddles, load_dual, relabel,
-                      two_bridge_pd)
+from conftest import (TORUS_NAMES, VALID_NAMES, has_consecutive_saddles, k4_network_pd,
+                      load_dual, pairwise_puncture_reps, pairwise_saddle_reps, relabel,
+                      shares_three_arcs, two_bridge_pd)
 from gen_fixtures import leaf, parallel, pd_from_tree, series
 
 # class counts certified against oracle_enumerate(max_len=4) on every fixture
@@ -117,8 +114,8 @@ def test_emitted_configurations_are_clean():
 
 
 def test_words_never_repeat_arcs_on_prime_diagrams():
-    # two faces of a prime diagram never share two arcs, so the quotient by
-    # "three shared punctures" is the identity on every valid fixture
+    # two faces of a prime diagram never share two arcs, so no clean PPPP
+    # word punctures an arc twice
     for name in VALID_NAMES:
         g = load_dual(name)
         result = enumerate_pppp(g)
@@ -135,10 +132,11 @@ def test_puncture_quotient_merges_three_shared():
     w1 = _word([1, 2, 3, 4])
     w2 = _word([1, 2, 3, 5])  # shares 3 arcs with w1
     w3 = _word([1, 2, 6, 7])  # shares only 2
-    reps = puncture_class_representatives([w1, w2, w3])
-    assert len(reps) == 2
+    # the reference quotient the oracle comparisons use
+    reps = pairwise_puncture_reps([w1, w2, w3])
+    assert reps == [w1, w3]
     w4 = _word([4, 3, 2, 1])  # same multiset as w1
-    assert len(puncture_class_representatives([w1, w2, w3, w4])) == 2
+    assert len(pairwise_puncture_reps([w1, w2, w3, w4])) == 2
 
 
 def _pair(c1, s1, c2, s2):
@@ -160,7 +158,7 @@ def test_saddle_pair_quotient_merges_shared_channel_sets():
     p1 = _pair(1, "A", 2, "A")
     p2 = (p1[0], _pair(1, "A", 2, "A")[1].rotated(2))  # same channel sets
     p3 = _pair(1, "A", 3, "A")
-    reps = saddle_pair_class_representatives([p1, p2, p3])
+    reps = pairwise_saddle_reps([p1, p2, p3])
     assert len(reps) == 2
 
 
@@ -265,10 +263,8 @@ def test_oracle_agreement_on_small_fixtures():
                   if classify_family(c) == "pppp"]
         o_pairs = [tuple(c.words_plus) for c in oracle.configurations
                    if classify_family(c) == "psps_pair"]
-        reps_p = sorted(serialize_word(w)
-                        for w in puncture_class_representatives(o_pppp))
-        reps_s = sorted(tuple(map(serialize_word, p))
-                        for p in saddle_pair_class_representatives(o_pairs))
+        reps_p = sorted(serialize_word(w) for w in pairwise_puncture_reps(o_pppp))
+        reps_s = sorted(tuple(map(serialize_word, p)) for p in pairwise_saddle_reps(o_pairs))
         s_p = sorted(serialize_word(c.words_plus[0]) for c in spec.configurations
                      if classify_family(c) == "pppp")
         s_s = sorted(tuple(map(serialize_word, c.words_plus))
@@ -279,82 +275,57 @@ def test_oracle_agreement_on_small_fixtures():
 
 
 # ----------------------------------------------------------------------------
-# the bucketed quotients against the pairwise relations they replaced
+# the genus-2 families need no quotient (enumerators module docstring)
 # ----------------------------------------------------------------------------
 
 
-def _pairwise_classes(items, related):
-    parent = list(range(len(items)))
-
-    def find(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if related(items[i], items[j]):
-                parent[find(i)] = find(j)
-    groups = {}
-    for i, item in enumerate(items):
-        groups.setdefault(find(i), []).append(item)
-    return list(groups.values())
+def _valid_duals(texts, seed):
+    rng = random.Random(seed)
+    diagrams = [build_diagram(parse_pd(relabel(text, rng))) for text in texts]
+    return [build_dual(d) for d in diagrams if validate(d).ok]
 
 
-def _pairwise_puncture_reps(words):
-    items = sorted(words)
-
-    def shares_three(w1, w2):
-        m1 = Counter(l.ref for l in w1.letters)
-        m2 = Counter(l.ref for l in w2.letters)
-        return sum(min(m1[a], m2[a]) for a in m1) >= 3
-
-    classes = _pairwise_classes(items, shares_three)
-    return sorted(min(c) for c in classes)
-
-
-def _channel_set(w):
-    return frozenset(l.ref for l in w.letters if l.kind == "S")
+def test_pppp_words_never_share_three_arcs():
+    texts = [two_bridge_pd(list(terms)) for k in range(1, 4)
+             for terms in product(range(1, 4), repeat=k) if sum(terms) >= 2]
+    texts += [_pretzel_pd(terms) for k in range(2, 5) for terms in product(range(1, 4), repeat=k)]
+    duals = _valid_duals(texts, 8)
+    assert len(duals) >= 100
+    for g in duals:
+        words = [cfg.words_plus[0] for cfg in enumerate_pppp(g).configurations]
+        assert words
+        assert not any(shares_three_arcs(w1, w2) for w1, w2 in combinations(words, 2))
 
 
-def _pairwise_saddle_reps(pairs):
-    items = sorted(tuple(sorted(p)) for p in pairs)
-
-    def shares_channel_set(p1, p2):
-        return bool({_channel_set(w) for w in p1} & {_channel_set(w) for w in p2})
-
-    classes = _pairwise_classes(items, shares_channel_set)
-    return sorted(min(c) for c in classes)
-
-
-# few arcs, channels and faces, so that words collide often
-p_letters = st.builds(Letter, st.just("P"), st.integers(1, 6))
-s_letters = st.builds(Letter, st.just("S"),
-                      st.builds(SaddleChannel, st.integers(1, 3), st.sampled_from("AB")))
+def _balanced_psps_pairs(g):
+    """Every balanced PSPS pair of clean words, the walks filtered by check_word."""
+    words = sorted({canonicalize(w) for w in _psps_walks(g) if not check_word(g, w)})
+    pairs = []
+    for w1, w2 in combinations_with_replacement(words, 2):
+        cfg = make_configuration([w1, w2])
+        if classify_family(cfg) == "psps_pair" and not check_configuration(g, cfg):
+            pairs.append(cfg.words_plus)
+    return pairs
 
 
-def _words(letters, min_size, max_size):
-    # the face offset makes equal letters with different traces distinct words
-    return st.builds(
-        lambda ls, f: CurveWord(tuple(ls), tuple((f + i) % 3 for i in range(len(ls)))),
-        st.lists(letters, min_size=min_size, max_size=max_size),
-        st.integers(0, 2),
-    )
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(_words(p_letters, 4, 4), _words(p_letters, 1, 6)), max_size=30))
-def test_puncture_quotient_equals_pairwise(words):
-    assert puncture_class_representatives(words) == _pairwise_puncture_reps(words)
-
-
-psps_like = _words(st.one_of(p_letters, s_letters), 1, 5)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(psps_like, psps_like), max_size=25))
-def test_saddle_pair_quotient_equals_pairwise(pairs):
-    assert saddle_pair_class_representatives(pairs) == _pairwise_saddle_reps(pairs)
+def test_psps_pairs_equal_pairwise_reference():
+    # K4 networks keep balanced PSPS pairs when most edges stay single
+    rng = random.Random(4)
+    networks = []
+    for _ in range(12):
+        terms = [[1]] * 6
+        for edge in rng.sample(range(6), 2):
+            terms[edge] = rng.choice(([1], [2], [3], [1, 1], [1, 2]))
+        networks.append(terms)
+    # the Borromean rings, three relabellings of them, then the K4 networks
+    duals = [load_dual("borromean")]
+    duals += _valid_duals([k4_network_pd([[1]] * 6)] * 3
+                          + [k4_network_pd(terms) for terms in networks], 9)
+    assert len(duals) == 16
+    for g in duals:
+        pairs = [cfg.words_plus for cfg in enumerate_psps_pairs(g).configurations]
+        assert pairs
+        assert pairs == pairwise_saddle_reps(_balanced_psps_pairs(g))
 
 
 # ----------------------------------------------------------------------------
@@ -401,7 +372,8 @@ def test_psps_diagnostics_equal_check_word_tally(g, monkeypatch):
     assert {p: k for p, k in result.diagnostics.items() if p in word_props} == tally
     # PSPS generation builds only words that pass every word check
     assert checked == []
-    assert all(check_word(g, w) == [] for w in enumerators._psps_words(g, {}))
+    moves, _ = enumerators._moves(g)
+    assert all(check_word(g, w) == [] for w in enumerators._psps_words(moves, {}))
 
 
 # ----------------------------------------------------------------------------

@@ -4,11 +4,10 @@ from math import comb
 
 import pytest
 
-from altcurves.enumerators import classify_family, enumerate_genus2
+from altcurves.enumerators import budgets, classify_family, enumerate_general, enumerate_genus2
 from altcurves.tubing import (
     PunctureCircle,
     TubingPlan,
-    circles_from_configuration,
     closed_surface_upper_bound,
     configuration_tubing_count,
     count_tubings,
@@ -17,7 +16,7 @@ from altcurves.tubing import (
     noncrossing_matchings,
 )
 
-from conftest import load_dual
+from conftest import VALID_NAMES, load_dual
 
 
 def _catalan(k):
@@ -72,13 +71,24 @@ def test_joint_tubings_multiply():
 
 def test_configuration_counts():
     for cfg in enumerate_genus2(load_dual("borromean")).configurations:
-        circles = circles_from_configuration(cfg)
+        punctures = [w.p_count for w in cfg.words_plus]
         if classify_family(cfg) == "pppp":
-            assert [c.punctures for c in circles] == [4]
+            assert punctures == [4]
             assert configuration_tubing_count(cfg) == 6
         else:
-            assert [c.punctures for c in circles] == [2, 2]
+            assert punctures == [2, 2]
             assert configuration_tubing_count(cfg) == 4
+
+
+def test_emitted_words_puncture_evenly():
+    # configuration_tubing_count halves each word's punctures unchecked: a
+    # puncture changes the face's checkerboard colour and a saddle keeps it
+    results = [enumerate_genus2(load_dual(name)) for name in VALID_NAMES]
+    results += [enumerate_general(load_dual(name), budgets(3))
+                for name in ("hopf", "k3_1", "k4_1")]
+    words = {w for r in results for cfg in r.configurations for w in cfg.words_plus}
+    assert any(w.p_count > 4 for w in words)
+    assert all(w.p_count % 2 == 0 for w in words)
 
 
 def test_closed_surface_upper_bound():
