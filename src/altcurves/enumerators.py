@@ -19,24 +19,34 @@ moves that may follow each move.  `_adjacent_fault` alone decides
 properties 5 and 6 for two adjacent letters.  No walker calls `check_word`:
 each builds only clean words.
 
-* PPPP walks follow the follow lists from their least arc and close at four
-  letters (9), the closing pair tested for 5.  On a prime diagram no two
-  clean PPPP words share three arcs, so "three punctures determine the
-  fourth" needs no quotient.  A closed walk ends at each face an even
-  number of times, so a word's fourth arc joins the two faces its other
-  three arcs end at an odd number of times.  Two distinct such fourth arcs
-  form the 2-edge cut `validate` rejects.  Equal ones give the same arcs,
-  which close up in one 4-cycle only (no arc is a loop, no two arcs join
-  the same two faces), so the same canonical word.
-* PSPS walks test each adjacency for property 6 and tally a failing walk
-  once, as `check_word` would.  Nothing else can fail: two punctures in two
-  blocks (7, 8), length four (9), and saddles joining faces of opposite
-  checkerboard colours, so no channel twice (2).  Each channel set C keeps
-  its least word, and each unordered {C, flip(C)} across two crossings
-  gives one pair.  Pairs share a channel set exactly when they share
-  {C, flip(C)}, so this is the least pair of its class under "two saddles
-  determine the pair".  It is balanced (4) and has no adjacent saddles (3)
-  by construction, so it skips `check_configuration`.
+* PPPP walks follow the follow lists for three arcs from their least arc,
+  and the fourth is looked up by its two faces, the third face and the
+  first: no arc is a loop and no two arcs join the same two faces, so there
+  is at most one.  No arc repeats in a walk, since a repeat would make an
+  arc a loop or two arcs join the same two faces, so the closing pairs pass
+  5; 9 holds by length.  A word's least arc is unique, and it is walked in
+  one direction only, the one whose second letter is the smaller: that walk
+  is the canonical word, built as such.  On a prime diagram no two clean
+  PPPP words share three arcs, so "three punctures determine the fourth"
+  needs no quotient.  A closed walk ends at each face an even number of
+  times, so a word's fourth arc joins the two faces its other three arcs
+  end at an odd number of times.  Two distinct such fourth arcs form the
+  2-edge cut `validate` rejects.  Equal ones give the same arcs, which close
+  up in one 4-cycle only, so the same canonical word.
+* PSPS walks are two halves, a puncture then a saddle, from the start face
+  to a middle face and back.  The halves of each face pair (f, mid) are
+  counted once, so the closed walks number the sum of count[f, mid] *
+  count[mid, f] over face pairs.  Only clean halves, whose saddle follows
+  its puncture, are joined, and a join tests its two junctions for property
+  6.  Property 6 is tallied as the closed walks less the clean ones, each
+  failing walk once, as `check_word` would.  Nothing else can fail: two
+  punctures in two blocks (7, 8), length four (9), and saddles joining
+  faces of opposite checkerboard colours, so no channel twice (2).  Each
+  channel set C keeps its least word, and each unordered {C, flip(C)}
+  across two crossings gives one pair.  Pairs share a channel set exactly
+  when they share {C, flip(C)}, so this is the least pair of its class
+  under "two saddles determine the pair".  It is balanced (4) and has no
+  adjacent saddles (3) by construction, so it skips `check_configuration`.
 * The general search prunes property 2 with a mask of used channels, and 5
   and 6 through the follow lists.  A walk closes only at an even length of
   at least 4 (9); there the closing pair is tested for 5 and 6, property 8
@@ -49,9 +59,10 @@ each builds only clean words.
 The minus sphere of every emitted configuration mirrors the plus sphere:
 each saddle passes to the other sphere and the curve family closes up
 symmetrically, so the mirror is the unique completion with the same letters.
-Each word is canonicalized once, when it is generated; `make_configuration`
-only sorts and mirrors canonical words.  Dedupe goes through sets, and the
-natural order of words and configurations is the canonical order.
+Each word is canonical when it is generated: PPPP words are built so, the
+others canonicalized once.  `make_configuration` only sorts and mirrors
+canonical words.  A word walked more than once is deduped through a set,
+and the natural order of words and configurations is the canonical order.
 """
 
 from __future__ import annotations
@@ -235,57 +246,65 @@ def _moves(g: AugmentedDualGraph) -> tuple[dict, dict]:
 def enumerate_pppp(g: AugmentedDualGraph, table=None) -> EnumerationResult:
     """All-puncture 4-letter curves, one configuration per clean word.
 
-    On a prime diagram no two of them share three arcs (module docstring).
+    Each word is walked once, from its least arc in the direction of its
+    smaller second letter, and closed by looking up the arc joining its
+    third face to its first; that walk is its canonical form.  On a prime
+    diagram no two of these words share three arcs (module docstring).
     `table` is `_moves(g)`, built here when not given.
     """
     moves, follow = table or _moves(g)
-    seen: set[CurveWord] = set()
-    for start, out in moves.items():
-        stack = [(m,) for m in out if m.kind == "P"]
-        while stack:
-            walk = stack.pop()
-            first, last = walk[0], walk[-1]
-            if len(walk) < 4:
-                # a canonical word starts at its least arc
-                stack.extend(walk + (m,) for m in follow[last]
-                             if m.kind == "P" and m.letter >= first.letter)
-            elif last.dest == start and _adjacent_fault(last, first) is None:
-                word = CurveWord(tuple(m.letter for m in walk),
-                                 (start,) + tuple(m.dest for m in walk[:-1]))
-                seen.add(canonicalize(word))
-    return EnumerationResult(tuple(make_configuration([w]) for w in sorted(seen)), {})
-
-
-def _psps_words(moves: dict, diagnostics: dict[int, int]) -> list[CurveWord]:
-    # A closed PSPS walk failing property 6 at any P-S adjacency is tallied
-    # once; one passing it passes every word check (module docstring).
-    closing: dict[tuple[int, int], list[_Move]] = {}  # S-moves by (from, to)
-    for f, out in moves.items():
-        for m in out:
-            if m.kind == "S":
-                closing.setdefault((f, m.dest), []).append(m)
-
-    seen: set[CurveWord] = set()
+    # no two arcs join the same two faces of a prime diagram
+    closing = {(f, m.dest): m for f, out in moves.items() for m in out if m.kind == "P"}
+    words = []
     for start, out in moves.items():
         for p1 in out:
             if p1.kind != "P":
                 continue
-            for s1 in moves[p1.dest]:
-                if s1.kind != "S":
+            for p2 in follow[p1]:
+                if p2.kind != "P" or p2.letter < p1.letter:
                     continue
-                bad_s1 = _adjacent_fault(p1, s1) is not None
-                for p2 in moves[s1.dest]:
-                    if p2.kind != "P":
+                for p3 in follow[p2]:
+                    if p3.kind != "P" or p3.letter < p1.letter:
                         continue
-                    bad_p2 = bad_s1 or _adjacent_fault(s1, p2) is not None
-                    for s2 in closing.get((p2.dest, start), ()):
-                        if bad_p2 or _adjacent_fault(p2, s2) is not None \
-                                or _adjacent_fault(s2, p1) is not None:
-                            _bump(diagnostics, 6)
-                            continue
-                        word = CurveWord((p1.letter, s1.letter, p2.letter, s2.letter),
-                                         (start, p1.dest, s1.dest, p2.dest))
-                        seen.add(canonicalize(word))
+                    p4 = closing.get((p3.dest, start))
+                    # no arc repeats (module docstring), so p4 may follow p3,
+                    # and p1 may follow p4
+                    if p4 is not None and p2.letter < p4.letter:
+                        words.append(CurveWord((p1.letter, p2.letter, p3.letter, p4.letter),
+                                               (start, p1.dest, p2.dest, p3.dest)))
+    return EnumerationResult(tuple(make_configuration([w]) for w in sorted(words)), {})
+
+
+def _psps_words(moves: dict, follow: dict, diagnostics: dict[int, int]) -> list[CurveWord]:
+    # Closed walks are counted from their halves, clean words joined from
+    # clean halves; the walks failing property 6 are the difference
+    # (module docstring).
+    halves: dict[tuple[int, int], int] = {}  # every half, by (from, to)
+    clean: dict[tuple[int, int], list[tuple[_Move, _Move]]] = {}
+    for f, out in moves.items():
+        for p in out:
+            if p.kind != "P":
+                continue
+            for s in moves[p.dest]:
+                if s.kind == "S":
+                    halves[f, s.dest] = halves.get((f, s.dest), 0) + 1
+            for s in follow[p]:
+                if s.kind == "S":
+                    clean.setdefault((f, s.dest), []).append((p, s))
+
+    walks = sum(k * halves.get((mid, f), 0) for (f, mid), k in halves.items())
+    passed = 0
+    seen: set[CurveWord] = set()
+    for (start, mid), firsts in clean.items():
+        for p2, s2 in clean.get((mid, start), ()):
+            for p1, s1 in firsts:
+                if _adjacent_fault(s1, p2) is None and _adjacent_fault(s2, p1) is None:
+                    passed += 1
+                    word = CurveWord((p1.letter, s1.letter, p2.letter, s2.letter),
+                                     (start, p1.dest, mid, p2.dest))
+                    seen.add(canonicalize(word))
+    if walks > passed:
+        diagnostics[6] = diagnostics.get(6, 0) + walks - passed
     return sorted(seen)
 
 
@@ -293,14 +312,17 @@ def enumerate_psps_pairs(g: AugmentedDualGraph, table=None) -> EnumerationResult
     """Balanced pairs of PSPS curves through opposite channels of two crossings.
 
     A curve using the saddles of two distinct crossings forces its partner
-    through the flipped channels.  Each channel set keeps its least word, and
-    each unordered {C, flip(C)} gives the pair of those least words
-    (module docstring).  `table` is `_moves(g)`, built here when not given.
+    through the flipped channels.  The words are joined from clean halves,
+    and the diagnostics tally every closed PSPS walk failing property 6 as
+    all closed walks less the clean ones.  Each channel set keeps its least
+    word, and each unordered {C, flip(C)} gives the pair of those least
+    words (module docstring).  `table` is `_moves(g)`, built here when not
+    given.
     """
-    moves, _ = table or _moves(g)
+    moves, follow = table or _moves(g)
     diagnostics: dict[int, int] = {}
     least: dict[frozenset[SaddleChannel], CurveWord] = {}
-    for w in _psps_words(moves, diagnostics):
+    for w in _psps_words(moves, follow, diagnostics):
         least.setdefault(_channels(w), w)
     # a channel set at one crossing is its own flip, so it pairs with nothing
     pairs = []

@@ -7,6 +7,8 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from altcurves import enumerators
 from altcurves.diagram import build_diagram, parse_pd, validate
@@ -279,6 +281,10 @@ def test_oracle_agreement_on_small_fixtures():
 # ----------------------------------------------------------------------------
 
 
+def _pretzel_pd(bundles):
+    return pd_from_tree(series([parallel([leaf()] * k) for k in bundles]))
+
+
 def _valid_duals(texts, seed):
     rng = random.Random(seed)
     diagrams = [build_diagram(parse_pd(relabel(text, rng))) for text in texts]
@@ -299,7 +305,7 @@ def test_pppp_words_never_share_three_arcs():
 
 def _balanced_psps_pairs(g):
     """Every balanced PSPS pair of clean words, the walks filtered by check_word."""
-    words = sorted({canonicalize(w) for w in _psps_walks(g) if not check_word(g, w)})
+    words = sorted({canonicalize(w) for w in _closed_walks(g, "PSPS") if not check_word(g, w)})
     pairs = []
     for w1, w2 in combinations_with_replacement(words, 2):
         cfg = make_configuration([w1, w2])
@@ -308,8 +314,11 @@ def _balanced_psps_pairs(g):
     return pairs
 
 
-def test_psps_pairs_equal_pairwise_reference():
-    # K4 networks keep balanced PSPS pairs when most edges stay single
+def _k4_duals():
+    """The Borromean rings, three relabellings of them, then twelve K4 networks.
+
+    K4 networks keep balanced PSPS pairs when most edges stay single.
+    """
     rng = random.Random(4)
     networks = []
     for _ in range(12):
@@ -317,47 +326,69 @@ def test_psps_pairs_equal_pairwise_reference():
         for edge in rng.sample(range(6), 2):
             terms[edge] = rng.choice(([1], [2], [3], [1, 1], [1, 2]))
         networks.append(terms)
-    # the Borromean rings, three relabellings of them, then the K4 networks
     duals = [load_dual("borromean")]
     duals += _valid_duals([k4_network_pd([[1]] * 6)] * 3
                           + [k4_network_pd(terms) for terms in networks], 9)
-    assert len(duals) == 16
-    for g in duals:
+    return duals
+
+
+K4_DUALS = _k4_duals()
+
+
+def test_psps_pairs_equal_pairwise_reference():
+    assert len(K4_DUALS) == 16
+    for g in K4_DUALS:
         pairs = [cfg.words_plus for cfg in enumerate_psps_pairs(g).configurations]
         assert pairs
         assert pairs == pairwise_saddle_reps(_balanced_psps_pairs(g))
 
 
 # ----------------------------------------------------------------------------
-# PSPS generation: the property-6 prune keeps the per-walk tally
+# PSPS generation: the property-6 tally counts every failing walk
 # ----------------------------------------------------------------------------
 
 
-def _psps_walks(g):
+def _closed_walks(g, skeleton):
+    """Every closed walk over `g.steps_from` spelling `skeleton`, from every face."""
+    def extend(start, steps):
+        here = steps[-1].dest if steps else start
+        if len(steps) == len(skeleton):
+            if here == start:
+                yield CurveWord(tuple(Letter(step.kind, step.ref) for step in steps),
+                                (start,) + tuple(step.dest for step in steps[:-1]))
+            return
+        for step in g.steps_from(here):
+            if step.kind == skeleton[len(steps)]:
+                yield from extend(start, steps + (step,))
+
     for start in g.nodes:
-        for p1 in g.steps_from(start):
-            for s1 in g.steps_from(p1.dest):
-                for p2 in g.steps_from(s1.dest):
-                    for s2 in g.steps_from(p2.dest):
-                        if (p1.kind, s1.kind, p2.kind, s2.kind) == tuple("PSPS") \
-                                and s2.dest == start:
-                            yield CurveWord(
-                                tuple(Letter(step.kind, step.ref) for step in (p1, s1, p2, s2)),
-                                (start, p1.dest, s1.dest, p2.dest),
-                            )
+        yield from extend(start, ())
 
 
+def _torus_dual(n):
+    text = relabel(two_bridge_pd([n]), random.Random(n))
+    return build_dual(build_diagram(parse_pd(text)))
+
+
+# the twelve K4 networks have clean PSPS walks, so the tally is all walks
+# less the clean ones; elsewhere no walk is clean
 @pytest.mark.parametrize("g", [
     load_dual("borromean"),
     load_dual("k7_7"),  # has walks failing property 6 only where s2 meets p1
     build_dual(build_diagram(parse_pd(relabel(two_bridge_pd([9]), random.Random(3))))),
-], ids=["borromean", "k7_7", "torus_2_9"])
+    _torus_dual(21),
+    *K4_DUALS[4:],
+], ids=["borromean", "k7_7", "torus_2_9", "torus_2_21"]
+   + [f"k4_network_{i}" for i in range(12)])
 def test_psps_diagnostics_equal_check_word_tally(g, monkeypatch):
     tally: dict[int, int] = {}
-    for word in _psps_walks(g):
+    clean = set()
+    for word in _closed_walks(g, "PSPS"):
         props = {v.prop for v in check_word(g, word)}
         for prop in props:
             tally[prop] = tally.get(prop, 0) + 1
+        if not props:
+            clean.add(canonicalize(word))
     assert tally
 
     checked = []
@@ -372,8 +403,54 @@ def test_psps_diagnostics_equal_check_word_tally(g, monkeypatch):
     assert {p: k for p, k in result.diagnostics.items() if p in word_props} == tally
     # PSPS generation builds only words that pass every word check
     assert checked == []
-    moves, _ = enumerators._moves(g)
-    assert all(check_word(g, w) == [] for w in enumerators._psps_words(moves, {}))
+    moves, follow = enumerators._moves(g)
+    assert enumerators._psps_words(moves, follow, {}) == sorted(clean)
+
+
+# ----------------------------------------------------------------------------
+# PPPP generation: closed by lookup, built canonical
+# ----------------------------------------------------------------------------
+
+
+twist_terms = st.lists(st.integers(1, 3), min_size=1, max_size=4)
+pppp_families = st.one_of(
+    twist_terms.filter(lambda t: sum(t) >= 2).map(two_bridge_pd),
+    twist_terms.filter(lambda t: len(t) >= 2).map(_pretzel_pd),
+    st.lists(st.sampled_from(([1], [2], [1, 1])), min_size=6, max_size=6).map(k4_network_pd),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=pppp_families, seed=st.integers(0, 2**32 - 1))
+def test_pppp_words_equal_check_word_reference(text, seed):
+    d = build_diagram(parse_pd(relabel(text, random.Random(seed))))
+    assume(validate(d).ok)
+    g = build_dual(d)
+    words = {canonicalize(w) for w in _closed_walks(g, "PPPP") if not check_word(g, w)}
+    assert words
+    assert enumerate_pppp(g).configurations == \
+        tuple(make_configuration([w]) for w in sorted(words))
+
+
+def test_genus2_fault_tests_grow_with_the_output(monkeypatch):
+    # on (2,n) torus knots the output grows as n^2, 3.8 times from n = 21 to
+    # n = 41; extending every walk to four letters grows as n^3
+    real = enumerators._adjacent_fault
+    calls = [0]
+
+    def counting(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(enumerators, "_adjacent_fault", counting)
+    made = {}
+    for n in (21, 41):
+        calls[0] = 0
+        result = enumerate_genus2(_torus_dual(n))
+        assert result.counts["pppp"] == comb(n, 2)
+        assert result.diagnostics == {6: 8 * n * n}
+        made[n] = calls[0]
+    assert made[41] <= 4.5 * made[21]
 
 
 # ----------------------------------------------------------------------------
@@ -465,10 +542,6 @@ def _reference_general(g, budget, patterns):
 
     assemble(0, [], 0)
     return walk, EnumerationResult(tuple(sorted(configs)), diagnostics, guard.visited)
-
-
-def _pretzel_pd(bundles):
-    return pd_from_tree(series([parallel([leaf()] * k) for k in bundles]))
 
 
 GENUS2_SKELETONS = ("PPPP", "PSPS")
