@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -375,6 +376,8 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+# built once, at the first `main` call: `parse_args` keeps no state between calls
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="altcurves",

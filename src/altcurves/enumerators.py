@@ -12,12 +12,16 @@ Three layers, kept deliberately separate:
   filters with the public checks only; the tests quotient its families pair
   by pair and compare them with the specialized results.
 
-All but the oracle walk one table, `_moves`, built once per diagram (once
+All but the oracle walk one table, `_moves`, made once per diagram (once
 for both families in `enumerate_genus2`): the moves leaving each face, each
 with its letter, destination face and the crossings it touches, and the
-moves that may follow each move.  `_adjacent_fault` alone decides
-properties 5 and 6 for two adjacent letters.  No walker calls `check_word`:
-each builds only clean words.
+moves that may follow each move.  A move's follow list is built the first
+time a walker reads it: the genus-2 walkers read only the lists after a
+puncture, the general search reads them all.  The follow table holds moves,
+but no move refers back to it, so the table stays acyclic and is freed as
+soon as it is dropped.  `_adjacent_fault` alone decides properties 5 and 6
+for two adjacent letters.  No walker calls `check_word`: each builds only
+clean words.
 
 * PPPP walks follow the follow lists for three arcs from their least arc,
   and the fourth is looked up by its two faces, the third face and the
@@ -67,6 +71,7 @@ and the natural order of words and configurations is the canonical order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -225,17 +230,34 @@ def _adjacent_fault(a: _Move, b: _Move) -> int | None:
     return 5 if a.kind == "P" and a.letter == b.letter else None
 
 
+class _Follow(dict):
+    """The moves that may follow each move, each list built when first read.
+
+    No move follows one it would break property 5 or 6 with.
+    """
+
+    __slots__ = ("moves",)
+
+    def __init__(self, moves: dict):
+        self.moves = moves
+
+    def __missing__(self, m: _Move) -> tuple:
+        # from a list, not a generator (see `_frame_word`)
+        out = self[m] = tuple([n for n in self.moves[m.dest] if _adjacent_fault(m, n) is None])
+        return out
+
+
 def _moves(g: AugmentedDualGraph) -> tuple[dict, dict]:
     """The moves leaving each face, and those that may follow each move.
 
-    No move follows one it would break property 5 or 6 with.  No move links
-    to another, so a dropped table is freed at once, not by the cyclic GC.
+    The follow lists are built on first read, so a walker pays only for the
+    lists it reads.  The follow table holds the moves, but no move links to
+    another or back to the table, so a dropped table is freed at once, not
+    by the cyclic GC.
     """
     bits = {ch: 1 << i for i, ch in enumerate(g.s_edges)}
     moves = {f: tuple(_Move(g, step, bits) for step in g.steps_from(f)) for f in g.nodes}
-    follow = {m: tuple(n for n in moves[m.dest] if _adjacent_fault(m, n) is None)
-              for out in moves.values() for m in out}
-    return moves, follow
+    return moves, _Follow(moves)
 
 
 # ----------------------------------------------------------------------------
@@ -255,7 +277,7 @@ def enumerate_pppp(g: AugmentedDualGraph, table=None) -> EnumerationResult:
     moves, follow = table or _moves(g)
     # no two arcs join the same two faces of a prime diagram
     closing = {(f, m.dest): m for f, out in moves.items() for m in out if m.kind == "P"}
-    words = []
+    words = []  # (letters, faces), which sort as their words do
     for start, out in moves.items():
         for p1 in out:
             if p1.kind != "P":
@@ -270,24 +292,28 @@ def enumerate_pppp(g: AugmentedDualGraph, table=None) -> EnumerationResult:
                     # no arc repeats (module docstring), so p4 may follow p3,
                     # and p1 may follow p4
                     if p4 is not None and p2.letter < p4.letter:
-                        words.append(CurveWord((p1.letter, p2.letter, p3.letter, p4.letter),
-                                               (start, p1.dest, p2.dest, p3.dest)))
-    return EnumerationResult(tuple(make_configuration([w]) for w in sorted(words)), {})
+                        words.append(((p1.letter, p2.letter, p3.letter, p4.letter),
+                                      (start, p1.dest, p2.dest, p3.dest)))
+    words.sort()
+    return EnumerationResult(
+        tuple(make_configuration([CurveWord(*w)]) for w in words), {})
 
 
 def _psps_words(moves: dict, follow: dict, diagnostics: dict[int, int]) -> list[CurveWord]:
     # Closed walks are counted from their halves, clean words joined from
     # clean halves; the walks failing property 6 are the difference
-    # (module docstring).
+    # (module docstring).  The halves are counted from each face's tally of
+    # saddle destinations, and only the punctures' follow lists are read.
+    saddles = {f: Counter(s.dest for s in out if s.kind == "S").items()
+               for f, out in moves.items()}
     halves: dict[tuple[int, int], int] = {}  # every half, by (from, to)
     clean: dict[tuple[int, int], list[tuple[_Move, _Move]]] = {}
     for f, out in moves.items():
         for p in out:
             if p.kind != "P":
                 continue
-            for s in moves[p.dest]:
-                if s.kind == "S":
-                    halves[f, s.dest] = halves.get((f, s.dest), 0) + 1
+            for mid, k in saddles[p.dest]:
+                halves[f, mid] = halves.get((f, mid), 0) + k
             for s in follow[p]:
                 if s.kind == "S":
                     clean.setdefault((f, s.dest), []).append((p, s))

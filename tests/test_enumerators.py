@@ -434,7 +434,9 @@ def test_pppp_words_equal_check_word_reference(text, seed):
 
 def test_genus2_fault_tests_grow_with_the_output(monkeypatch):
     # on (2,n) torus knots the output grows as n^2, 3.8 times from n = 21 to
-    # n = 41; extending every walk to four letters grows as n^3
+    # n = 41; extending every walk to four letters grows as n^3.  The genus-2
+    # walkers read only the follow lists of punctures, so only those are
+    # built: one test per move leaving a puncture's destination face.
     real = enumerators._adjacent_fault
     calls = [0]
 
@@ -444,11 +446,16 @@ def test_genus2_fault_tests_grow_with_the_output(monkeypatch):
 
     monkeypatch.setattr(enumerators, "_adjacent_fault", counting)
     made = {}
-    for n in (21, 41):
+    for n, expected in ((21, 1932), (41, 7052)):
+        g = _torus_dual(n)
+        moves, _ = enumerators._moves(g)
+        after_punctures = sum(len(moves[m.dest]) for out in moves.values()
+                              for m in out if m.kind == "P")
         calls[0] = 0
-        result = enumerate_genus2(_torus_dual(n))
+        result = enumerate_genus2(g)
         assert result.counts["pppp"] == comb(n, 2)
         assert result.diagnostics == {6: 8 * n * n}
+        assert calls[0] == after_punctures == expected
         made[n] = calls[0]
     assert made[41] <= 4.5 * made[21]
 

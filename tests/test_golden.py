@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from altcurves import cli
 from altcurves.cli import main
 
 from conftest import FIXTURE_DIR, INVALID_NAMES, VALID_NAMES, fixture_path
@@ -69,6 +70,26 @@ def test_cli_output_matches_golden(name):
 def test_golden_dir_has_no_strays():
     on_disk = {p.name for p in GOLDEN_DIR.iterdir()} - {EXIT_CODES.name}
     assert on_disk == set(CASES)
+
+
+def test_reused_parser_keeps_no_state():
+    # one parser serves every `main` call in a process, so no call may leave
+    # its options, or a rejected command line, behind for the next
+    assert cli._build_parser() is cli._build_parser()
+    trefoil = str(fixture_path("k3_1"))
+    assert run_case(["enumerate", "--genus", "3", "--format", "json", trefoil])[0] == 0
+    assert run_case(["enumerate", trefoil]) == (0, (
+        "[pppp] chi=2 complexity=6 tubings=6 :: P1 P3 P6 P4\n"
+        "[pppp] chi=2 complexity=6 tubings=6 :: P1 P4 P2 P5\n"
+        "[pppp] chi=2 complexity=6 tubings=6 :: P2 P5 P3 P6\n"
+        "fixtures/k3_1.pd: n=3 genus=2 total=3 (pppp=3, psps_pair=0, other=0)\n"
+    ))
+    with pytest.raises(SystemExit) as exit_, contextlib.redirect_stderr(io.StringIO()):
+        main(["report", "--jobs", "0", trefoil])
+    assert exit_.value.code == 2
+    code, out = run_case(CASES["report.json"])
+    assert out == (GOLDEN_DIR / "report.json").read_text(encoding="utf-8")
+    assert code == json.loads(EXIT_CODES.read_text(encoding="utf-8"))["report.json"]
 
 
 def _write_golden() -> None:
