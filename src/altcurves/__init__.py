@@ -56,15 +56,7 @@ from .euler import (
     polygon_contribution,
 )
 from .render import render_diagram
-from .tubing import (
-    PunctureCircle,
-    TubingPlan,
-    closed_surface_upper_bound,
-    configuration_tubing_count,
-    count_tubings,
-    enumerate_circle_tubings,
-    enumerate_tubings,
-)
+from .tubing import configuration_tubing_count, count_tubings
 from .words import (
     Configuration,
     CurveWord,

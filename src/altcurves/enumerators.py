@@ -14,43 +14,51 @@ Three layers, kept deliberately separate:
 
 All but the oracle walk one table, `_moves`, made once per diagram (once
 for both families in `enumerate_genus2`): the moves leaving each face, each
-with its letter, destination face and the crossings it touches, and the
-moves that may follow each move.  A move's follow list is built the first
-time a walker reads it: the genus-2 walkers read only the lists after a
-puncture, the general search reads them all.  The follow table holds moves,
-but no move refers back to it, so the table stays acyclic and is freed as
-soon as it is dropped.  `_adjacent_fault` alone decides properties 5 and 6
-for two adjacent letters.  No walker calls `check_word`: each builds only
-clean words.
+with its letter, destination face and the crossings it touches.  The two
+moves over one arc or channel share what is prepared for it.  Only the
+general search reads follow lists (`_Follow`), the moves that may follow
+each move, each list built the first time it is read; `_adjacent_fault`
+alone decides properties 5 and 6 for them.  The genus-2 walkers test their
+few junctions themselves, so a genus-2 row builds no follow list.  No
+walker calls `check_word`: each builds only clean words.
 
-* PPPP walks follow the follow lists for three arcs from their least arc,
-  and the fourth is looked up by its two faces, the third face and the
-  first: no arc is a loop and no two arcs join the same two faces, so there
-  is at most one.  No arc repeats in a walk, since a repeat would make an
-  arc a loop or two arcs join the same two faces, so the closing pairs pass
-  5; 9 holds by length.  A word's least arc is unique, and it is walked in
-  one direction only, the one whose second letter is the smaller: that walk
-  is the canonical word, built as such.  On a prime diagram no two clean
-  PPPP words share three arcs, so "three punctures determine the fourth"
-  needs no quotient.  A closed walk ends at each face an even number of
-  times, so a word's fourth arc joins the two faces its other three arcs
-  end at an odd number of times.  Two distinct such fourth arcs form the
-  2-edge cut `validate` rejects.  Equal ones give the same arcs, which close
-  up in one 4-cycle only, so the same canonical word.
+* PPPP walks take three punctures from their least arc, skipping a second
+  arc not above the first and a third equal to the second, which is the
+  whole property-5 test between them.  The fourth is looked up by its two
+  faces, the third face and the first: no arc is a loop and no two arcs
+  join the same two faces, so there is at most one.  No arc repeats in a
+  walk, since a repeat would make an arc a loop or two arcs join the same
+  two faces, so the closing pairs pass 5; 9 holds by length.  A word's
+  least arc is unique, and it is walked in one direction only, the one
+  whose second letter is the smaller: that walk is the canonical word,
+  built as such.  On a prime diagram no two clean PPPP words share three
+  arcs, so "three punctures determine the fourth" needs no quotient.  A
+  closed walk ends at each face an even number of times, so a word's
+  fourth arc joins the two faces its other three arcs end at an odd number
+  of times.  Two distinct such fourth arcs form the 2-edge cut `validate`
+  rejects.  Equal ones give the same arcs, which close up in one 4-cycle
+  only, so the same canonical word.
 * PSPS walks are two halves, a puncture then a saddle, from the start face
-  to a middle face and back.  The halves of each face pair (f, mid) are
-  counted once, so the closed walks number the sum of count[f, mid] *
-  count[mid, f] over face pairs.  Only clean halves, whose saddle follows
-  its puncture, are joined, and a join tests its two junctions for property
-  6.  Property 6 is tallied as the closed walks less the clean ones, each
-  failing walk once, as `check_word` would.  Nothing else can fail: two
-  punctures in two blocks (7, 8), length four (9), and saddles joining
-  faces of opposite checkerboard colours, so no channel twice (2).  Each
-  channel set C keeps its least word, and each unordered {C, flip(C)}
-  across two crossings gives one pair.  Pairs share a channel set exactly
-  when they share {C, flip(C)}, so this is the least pair of its class
-  under "two saddles determine the pair".  It is balanced (4) and has no
-  adjacent saddles (3) by construction, so it skips `check_configuration`.
+  to a middle face and back; the two faces have opposite checkerboard
+  colours, so they differ.  The halves of each face pair (f, mid) are
+  indexed once by their punctures, so the closed walks number the sum of
+  count[f, mid] * count[mid, f] over face pairs, none of them built.  Clean
+  halves, whose saddle meets no end of its puncture's arc, are built only
+  for face pairs with halves both ways: first the direction with fewer
+  halves, then the other only when the first has a clean one.  A join
+  tests its two other junctions for property 6 and stands for the walk
+  from f and its rotation from mid.  Property 6 is tallied as the closed
+  walks less the clean ones, each failing walk once, as `check_word`
+  would.  Nothing else can fail: two punctures in two blocks (7, 8), length
+  four (9), and saddles joining faces of opposite checkerboard colours, so
+  no channel twice (2).  Each channel set C keeps its least word, and each
+  unordered {C, flip(C)} across two crossings gives one pair.  Pairs share
+  a channel set exactly when they share {C, flip(C)}, so this is the least
+  pair of its class under "two saddles determine the pair".  It is
+  balanced (4) and has no adjacent saddles (3) by construction, so it
+  skips `check_configuration`.  On a (2,n) torus knot every face pair's
+  smaller side has at most two halves and no clean one, so the PSPS work
+  is linear in n.
 * The general search prunes property 2 with a mask of used channels, and 5
   and 6 through the follow lists.  A walk closes only at an even length of
   at least 4 (9); there the closing pair is tested for 5 and 6, property 8
@@ -71,11 +79,10 @@ and the natural order of words and configurations is the canonical order.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .dualgraph import AugmentedDualGraph, SaddleChannel, Step
+from .dualgraph import AugmentedDualGraph, SaddleChannel
 from .errors import GuardAbort, TractabilityError
 from .words import (
     Configuration,
@@ -207,20 +214,19 @@ class _Move:
     `touches` holds the crossings the letter meets: both ends of the arc for
     a puncture, the channel's crossing for a saddle.  `bit` marks a saddle's
     channel in a walk's used-channel mask (0 for a puncture), and
-    `punctures` is 1 for a puncture and 0 for a saddle.
+    `punctures` is 1 for a puncture and 0 for a saddle.  The two moves over
+    one arc or channel share its letter and its `touches`.
     """
 
     __slots__ = ("kind", "letter", "dest", "touches", "bit", "punctures")
 
-    def __init__(self, g: AugmentedDualGraph, step: Step, bits: dict[SaddleChannel, int]):
-        puncture = step.kind == "P"
-        self.kind = step.kind
-        self.letter = Letter(step.kind, step.ref)
-        self.dest = step.dest
-        self.touches = frozenset(g.arc_crossings(step.ref) if puncture
-                                 else (step.ref.crossing,))
-        self.bit = 0 if puncture else bits[step.ref]
-        self.punctures = 1 if puncture else 0
+    def __init__(self, letter: Letter, touches: frozenset[int], bit: int, dest: int):
+        self.kind = letter.kind
+        self.letter = letter
+        self.dest = dest
+        self.touches = touches
+        self.bit = bit
+        self.punctures = 1 if letter.kind == "P" else 0
 
 
 def _adjacent_fault(a: _Move, b: _Move) -> int | None:
@@ -233,7 +239,9 @@ def _adjacent_fault(a: _Move, b: _Move) -> int | None:
 class _Follow(dict):
     """The moves that may follow each move, each list built when first read.
 
-    No move follows one it would break property 5 or 6 with.
+    No move follows one it would break property 5 or 6 with.  Only the
+    general search reads follow lists; the genus-2 walkers test their few
+    junctions themselves.
     """
 
     __slots__ = ("moves",)
@@ -247,17 +255,19 @@ class _Follow(dict):
         return out
 
 
-def _moves(g: AugmentedDualGraph) -> tuple[dict, dict]:
-    """The moves leaving each face, and those that may follow each move.
+def _moves(g: AugmentedDualGraph) -> dict[int, tuple[_Move, ...]]:
+    """The moves leaving each face, in the order of `steps_from`.
 
-    The follow lists are built on first read, so a walker pays only for the
-    lists it reads.  The follow table holds the moves, but no move links to
-    another or back to the table, so a dropped table is freed at once, not
-    by the cyclic GC.
+    Each arc and each channel is prepared once, for the two moves over it.
+    No move links to another, so the table is freed at once when dropped,
+    not by the cyclic GC.
     """
-    bits = {ch: 1 << i for i, ch in enumerate(g.s_edges)}
-    moves = {f: tuple(_Move(g, step, bits) for step in g.steps_from(f)) for f in g.nodes}
-    return moves, _Follow(moves)
+    prepared = {arc: (Letter("P", arc), frozenset(g.arc_crossings(arc)), 0)
+                for arc in g.p_edges}
+    prepared.update((ch, (Letter("S", ch), frozenset((ch.crossing,)), 1 << i))
+                    for i, ch in enumerate(g.s_edges))
+    return {f: tuple([_Move(*prepared[step.ref], step.dest) for step in g.steps_from(f)])
+            for f in g.nodes}
 
 
 # ----------------------------------------------------------------------------
@@ -265,76 +275,89 @@ def _moves(g: AugmentedDualGraph) -> tuple[dict, dict]:
 # ----------------------------------------------------------------------------
 
 
-def enumerate_pppp(g: AugmentedDualGraph, table=None) -> EnumerationResult:
+def enumerate_pppp(g: AugmentedDualGraph, moves=None) -> EnumerationResult:
     """All-puncture 4-letter curves, one configuration per clean word.
 
     Each word is walked once, from its least arc in the direction of its
     smaller second letter, and closed by looking up the arc joining its
     third face to its first; that walk is its canonical form.  On a prime
     diagram no two of these words share three arcs (module docstring).
-    `table` is `_moves(g)`, built here when not given.
+    `moves` is `_moves(g)`, built here when not given.
     """
-    moves, follow = table or _moves(g)
-    # no two arcs join the same two faces of a prime diagram
-    closing = {(f, m.dest): m for f, out in moves.items() for m in out if m.kind == "P"}
+    moves = moves or _moves(g)
+    punctures = {f: [m for m in out if m.kind == "P"] for f, out in moves.items()}
     words = []  # (letters, faces), which sort as their words do
-    for start, out in moves.items():
+    for start, out in punctures.items():
+        # the arc back to `start` from each face next to it; there is at
+        # most one, since no two arcs join the same two faces of a prime
+        # diagram
+        home = {m.dest: m.letter for m in out}
         for p1 in out:
-            if p1.kind != "P":
-                continue
-            for p2 in follow[p1]:
-                if p2.kind != "P" or p2.letter < p1.letter:
-                    continue
-                for p3 in follow[p2]:
-                    if p3.kind != "P" or p3.letter < p1.letter:
-                        continue
-                    p4 = closing.get((p3.dest, start))
-                    # no arc repeats (module docstring), so p4 may follow p3,
-                    # and p1 may follow p4
-                    if p4 is not None and p2.letter < p4.letter:
-                        words.append(((p1.letter, p2.letter, p3.letter, p4.letter),
-                                      (start, p1.dest, p2.dest, p3.dest)))
+            l1 = p1.letter
+            for p2 in punctures[p1.dest]:
+                l2 = p2.letter
+                if l2 <= l1:
+                    continue  # not from the least arc, or property 5
+                for p3 in punctures[p2.dest]:
+                    l3 = p3.letter
+                    if l3 == l2 or l3 < l1:
+                        continue  # property 5, or not from the least arc
+                    l4 = home.get(p3.dest)
+                    # no arc repeats (module docstring), so l4 may follow l3,
+                    # and l1 may follow l4
+                    if l4 is not None and l2 < l4:
+                        words.append(((l1, l2, l3, l4), (start, p1.dest, p2.dest, p3.dest)))
     words.sort()
     return EnumerationResult(
-        tuple(make_configuration([CurveWord(*w)]) for w in words), {})
+        tuple([make_configuration([CurveWord(*w)]) for w in words]), {})
 
 
-def _psps_words(moves: dict, follow: dict, diagnostics: dict[int, int]) -> list[CurveWord]:
-    # Closed walks are counted from their halves, clean words joined from
-    # clean halves; the walks failing property 6 are the difference
-    # (module docstring).  The halves are counted from each face's tally of
-    # saddle destinations, and only the punctures' follow lists are read.
-    saddles = {f: Counter(s.dest for s in out if s.kind == "S").items()
-               for f, out in moves.items()}
-    halves: dict[tuple[int, int], int] = {}  # every half, by (from, to)
-    clean: dict[tuple[int, int], list[tuple[_Move, _Move]]] = {}
+def _psps_words(moves: dict, diagnostics: dict[int, int]) -> list[CurveWord]:
+    # Closed walks are counted from the halves of each face pair, indexed by
+    # their punctures; clean halves are built from a pair's smaller side
+    # first and joined, and the walks failing property 6 are the difference
+    # (module docstring).
+    saddles: dict[int, dict[int, list[_Move]]] = {}  # by face, then destination
+    for f, out in moves.items():
+        by_dest = saddles[f] = {}
+        for s in out:
+            if s.kind == "S":
+                by_dest.setdefault(s.dest, []).append(s)
+    halves: dict[tuple[int, int], list] = {}  # (from, to) -> [(puncture, saddles)]
     for f, out in moves.items():
         for p in out:
-            if p.kind != "P":
-                continue
-            for mid, k in saddles[p.dest]:
-                halves[f, mid] = halves.get((f, mid), 0) + k
-            for s in follow[p]:
-                if s.kind == "S":
-                    clean.setdefault((f, s.dest), []).append((p, s))
+            if p.kind == "P":
+                for mid, ss in saddles[p.dest].items():
+                    halves.setdefault((f, mid), []).append((p, ss))
+    counts = {pair: sum(len(ss) for _, ss in hs) for pair, hs in halves.items()}
 
-    walks = sum(k * halves.get((mid, f), 0) for (f, mid), k in halves.items())
-    passed = 0
+    def clean(pair: tuple[int, int]) -> list[tuple[_Move, _Move]]:
+        return [(p, s) for p, ss in halves[pair] for s in ss
+                if p.touches.isdisjoint(s.touches)]
+
+    walks = passed = 0
     seen: set[CurveWord] = set()
-    for (start, mid), firsts in clean.items():
-        for p2, s2 in clean.get((mid, start), ()):
+    for (f, mid), k in counts.items():
+        back = counts.get((mid, f), 0)
+        walks += k * back
+        if not back or (back, mid) < (k, f):
+            continue  # each face pair once, from its smaller side
+        firsts = clean((f, mid))
+        if not firsts:
+            continue
+        for p2, s2 in clean((mid, f)):
             for p1, s1 in firsts:
-                if _adjacent_fault(s1, p2) is None and _adjacent_fault(s2, p1) is None:
-                    passed += 1
+                if s1.touches.isdisjoint(p2.touches) and s2.touches.isdisjoint(p1.touches):
+                    passed += 2  # the walk from f, and its rotation from mid
                     word = CurveWord((p1.letter, s1.letter, p2.letter, s2.letter),
-                                     (start, p1.dest, mid, p2.dest))
+                                     (f, p1.dest, mid, p2.dest))
                     seen.add(canonicalize(word))
     if walks > passed:
         diagnostics[6] = diagnostics.get(6, 0) + walks - passed
     return sorted(seen)
 
 
-def enumerate_psps_pairs(g: AugmentedDualGraph, table=None) -> EnumerationResult:
+def enumerate_psps_pairs(g: AugmentedDualGraph, moves=None) -> EnumerationResult:
     """Balanced pairs of PSPS curves through opposite channels of two crossings.
 
     A curve using the saddles of two distinct crossings forces its partner
@@ -342,13 +365,13 @@ def enumerate_psps_pairs(g: AugmentedDualGraph, table=None) -> EnumerationResult
     and the diagnostics tally every closed PSPS walk failing property 6 as
     all closed walks less the clean ones.  Each channel set keeps its least
     word, and each unordered {C, flip(C)} gives the pair of those least
-    words (module docstring).  `table` is `_moves(g)`, built here when not
+    words (module docstring).  `moves` is `_moves(g)`, built here when not
     given.
     """
-    moves, follow = table or _moves(g)
+    moves = moves or _moves(g)
     diagnostics: dict[int, int] = {}
     least: dict[frozenset[SaddleChannel], CurveWord] = {}
-    for w in _psps_words(moves, follow, diagnostics):
+    for w in _psps_words(moves, diagnostics):
         least.setdefault(_channels(w), w)
     # a channel set at one crossing is its own flip, so it pairs with nothing
     pairs = []
@@ -365,9 +388,9 @@ def enumerate_genus2(g: AugmentedDualGraph) -> EnumerationResult:
     The count is not checked here: `bounds.compare` reports it against the
     2n^3 cap.
     """
-    table = _moves(g)
-    pppp = enumerate_pppp(g, table)
-    psps = enumerate_psps_pairs(g, table)
+    moves = _moves(g)
+    pppp = enumerate_pppp(g, moves)
+    psps = enumerate_psps_pairs(g, moves)
     # PPPP words are built clean, so only the PSPS pairs tally rejections
     return EnumerationResult(pppp.configurations + psps.configurations, psps.diagnostics)
 
@@ -413,7 +436,8 @@ def _general_words(
         max_len = min(max_len, max(len(p) for p in rotations))
         prefixes = {r[:i] for r in rotations for i in range(1, len(r) + 1)}
     max_p = budget.max_punctures
-    moves, follow = _moves(g)
+    moves = _moves(g)
+    follow = _Follow(moves)
     seen: set[CurveWord] = set()
 
     for start in g.nodes:

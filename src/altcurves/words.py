@@ -91,11 +91,11 @@ class CurveWord:
 
     @property
     def p_count(self) -> int:
-        return sum(1 for l in self.letters if l.kind == "P")
+        return [l.kind for l in self.letters].count("P")
 
     @property
     def s_count(self) -> int:
-        return sum(1 for l in self.letters if l.kind == "S")
+        return [l.kind for l in self.letters].count("S")
 
     def rotated(self, r: int) -> "CurveWord":
         return CurveWord(self.letters[r:] + self.letters[:r], self.faces[r:] + self.faces[:r])
@@ -130,7 +130,7 @@ def canonicalize(w: CurveWord) -> CurveWord:
 
 def word_pattern(w: CurveWord) -> str:
     """The P/S skeleton, e.g. 'PSPS'."""
-    return "".join(l.kind for l in w.letters)
+    return "".join([l.kind for l in w.letters])
 
 
 def serialize_word(w: CurveWord) -> str:

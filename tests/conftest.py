@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter
+from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 from altcurves.diagram import Diagram, build_diagram, parse_pd
@@ -147,3 +149,81 @@ def k4_network_pd(edge_terms: list[list[int]]) -> str:
     g.rot[c] = fans["ca"][0] + fans["cd"][0] + fans["bc"][1]
     g.rot[hub] = fans["ad"][1] + fans["bd"][1] + fans["cd"][1]
     return "".join("X " + " ".join(map(str, row)) + "\n" for row in medial_pd_rows(g))
+
+
+# ----------------------------------------------------------------------------
+# tubing plans: the brute-force reference for `tubing.count_tubings`
+# ----------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PunctureCircle:
+    """A curve carrying an even number of punctures in cyclic order."""
+
+    label: str
+    punctures: int
+
+    def __post_init__(self):
+        if self.punctures < 0 or self.punctures % 2:
+            raise ValueError("a circle carries an even number of punctures")
+
+
+@dataclass(frozen=True)
+class TubingPlan:
+    """Tubes as (i, j, side): side 0 hugs the arc i..j, side 1 its complement."""
+
+    tubes: tuple[tuple[int, int, int], ...]
+
+
+def noncrossing_matchings(points: tuple[int, ...]):
+    """Yield all non-crossing perfect matchings of points in cyclic order."""
+    if not points:
+        yield ()
+        return
+    first = points[0]
+    for idx in range(1, len(points), 2):
+        partner = points[idx]
+        inside = points[1:idx]
+        outside = points[idx + 1:]
+        for m_in in noncrossing_matchings(inside):
+            for m_out in noncrossing_matchings(outside):
+                yield ((first, partner),) + m_in + m_out
+
+
+def arc_gaps(i: int, j: int, side: int, total: int) -> frozenset[int]:
+    """The gaps a tube's routed arc covers; gap g lies between punctures g and g+1."""
+    forward = frozenset((i + t) % total for t in range((j - i) % total))
+    if side == 0:
+        return forward
+    return frozenset(range(total)) - forward
+
+
+def enumerate_circle_tubings(punctures: int) -> tuple[TubingPlan, ...]:
+    """All tubings of one circle, in a deterministic order.
+
+    The routed arcs of a tubing are nested or disjoint exactly when some gap
+    lies on none of them, so each routing is the one that keeps every tube
+    off a chosen gap.  The k tubes cut the circle's gaps into k + 1 regions,
+    one routing each.  Per matching, plans come in increasing order of their
+    side vectors.
+    """
+    if punctures < 0 or punctures % 2:
+        raise ValueError("a circle carries an even number of punctures")
+    if punctures == 0:
+        return (TubingPlan(()),)
+    plans = []
+    for matching in noncrossing_matchings(tuple(range(punctures))):
+        routings = {
+            tuple(int(g in arc_gaps(i, j, 0, punctures)) for i, j in matching)
+            for g in range(punctures)
+        }
+        for sides in sorted(routings):
+            plans.append(TubingPlan(tuple(
+                (i, j, side) for (i, j), side in zip(matching, sides)
+            )))
+    return tuple(plans)
+
+
+def enumerate_tubings(circles: tuple[PunctureCircle, ...]):
+    """All joint tubings, one plan per circle, as a tuple of plan tuples."""
+    return tuple(product(*(enumerate_circle_tubings(c.punctures) for c in circles)))

@@ -3,6 +3,7 @@
 import inspect
 import random
 import sys
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
@@ -365,6 +366,19 @@ def _closed_walks(g, skeleton):
         yield from extend(start, ())
 
 
+def _psps_reference(g):
+    """`check_word`'s property tally over every closed PSPS walk, and the clean words."""
+    tally: dict[int, int] = {}
+    clean = set()
+    for word in _closed_walks(g, "PSPS"):
+        props = {v.prop for v in check_word(g, word)}
+        for prop in props:
+            tally[prop] = tally.get(prop, 0) + 1
+        if not props:
+            clean.add(canonicalize(word))
+    return tally, sorted(clean)
+
+
 def _torus_dual(n):
     text = relabel(two_bridge_pd([n]), random.Random(n))
     return build_dual(build_diagram(parse_pd(text)))
@@ -381,14 +395,7 @@ def _torus_dual(n):
 ], ids=["borromean", "k7_7", "torus_2_9", "torus_2_21"]
    + [f"k4_network_{i}" for i in range(12)])
 def test_psps_diagnostics_equal_check_word_tally(g, monkeypatch):
-    tally: dict[int, int] = {}
-    clean = set()
-    for word in _closed_walks(g, "PSPS"):
-        props = {v.prop for v in check_word(g, word)}
-        for prop in props:
-            tally[prop] = tally.get(prop, 0) + 1
-        if not props:
-            clean.add(canonicalize(word))
+    tally, clean = _psps_reference(g)
     assert tally
 
     checked = []
@@ -403,8 +410,7 @@ def test_psps_diagnostics_equal_check_word_tally(g, monkeypatch):
     assert {p: k for p, k in result.diagnostics.items() if p in word_props} == tally
     # PSPS generation builds only words that pass every word check
     assert checked == []
-    moves, follow = enumerators._moves(g)
-    assert enumerators._psps_words(moves, follow, {}) == sorted(clean)
+    assert enumerators._psps_words(enumerators._moves(g), {}) == clean
 
 
 # ----------------------------------------------------------------------------
@@ -432,32 +438,67 @@ def test_pppp_words_equal_check_word_reference(text, seed):
         tuple(make_configuration([w]) for w in sorted(words))
 
 
+@settings(max_examples=60, deadline=None)
+@given(text=pppp_families, seed=st.integers(0, 2**32 - 1))
+def test_psps_words_equal_check_word_reference(text, seed):
+    d = build_diagram(parse_pd(relabel(text, random.Random(seed))))
+    assume(validate(d).ok)
+    g = build_dual(d)
+    tally, clean = _psps_reference(g)
+    diagnostics: dict[int, int] = {}
+    assert enumerators._psps_words(enumerators._moves(g), diagnostics) == clean
+    assert diagnostics == tally
+
+
 def test_genus2_fault_tests_grow_with_the_output(monkeypatch):
     # on (2,n) torus knots the output grows as n^2, 3.8 times from n = 21 to
-    # n = 41; extending every walk to four letters grows as n^3.  The genus-2
-    # walkers read only the follow lists of punctures, so only those are
-    # built: one test per move leaving a puncture's destination face.
-    real = enumerators._adjacent_fault
-    calls = [0]
+    # n = 41, and the PSPS work should grow no faster than n.  The genus-2
+    # walkers read no follow list, so `_adjacent_fault` is never called:
+    # PPPP walks skip repeated arcs by their letter order, and PSPS halves
+    # test their one junction on `touches`.  Each face pair with halves
+    # both ways builds its smaller side first: here two halves, neither
+    # clean, so the larger side is never built and nothing is joined.
+    faults = [0]
+    real_fault = enumerators._adjacent_fault
 
-    def counting(a, b):
-        calls[0] += 1
-        return real(a, b)
+    def counting_fault(a, b):
+        faults[0] += 1
+        return real_fault(a, b)
 
-    monkeypatch.setattr(enumerators, "_adjacent_fault", counting)
+    tests = Counter()
+
+    class CountingTouches(frozenset):
+        def isdisjoint(self, other):
+            disjoint = frozenset.isdisjoint(self, other)
+            # a puncture's touches test a half, a saddle's a join
+            tests[self.kind, disjoint] += 1
+            return disjoint
+
+    real_moves = enumerators._moves
+
+    def counting_moves(g):
+        moves = real_moves(g)
+        for out in moves.values():
+            for m in out:
+                m.touches = CountingTouches(m.touches)
+                m.touches.kind = m.kind
+        return moves
+
+    monkeypatch.setattr(enumerators, "_adjacent_fault", counting_fault)
+    monkeypatch.setattr(enumerators, "_moves", counting_moves)
     made = {}
-    for n, expected in ((21, 1932), (41, 7052)):
+    for n, halves_tested in ((21, 84), (41, 164)):
         g = _torus_dual(n)
-        moves, _ = enumerators._moves(g)
-        after_punctures = sum(len(moves[m.dest]) for out in moves.values()
-                              for m in out if m.kind == "P")
-        calls[0] = 0
+        faults[0] = 0
+        tests.clear()
         result = enumerate_genus2(g)
         assert result.counts["pppp"] == comb(n, 2)
         assert result.diagnostics == {6: 8 * n * n}
-        assert calls[0] == after_punctures == expected
-        made[n] = calls[0]
-    assert made[41] <= 4.5 * made[21]
+        assert faults[0] == 0
+        # 4n halves tested, none of them clean, and no join
+        assert tests == {("P", False): halves_tested}
+        made[n] = sum(tests.values())
+    assert made[41] <= 2.2 * made[21]
 
 
 # ----------------------------------------------------------------------------

@@ -1,22 +1,14 @@
-"""Tubing enumeration and counting."""
+"""Tubing counts, against the plan enumeration in conftest."""
 
 from math import comb
 
 import pytest
 
 from altcurves.enumerators import budgets, classify_family, enumerate_general, enumerate_genus2
-from altcurves.tubing import (
-    PunctureCircle,
-    TubingPlan,
-    closed_surface_upper_bound,
-    configuration_tubing_count,
-    count_tubings,
-    enumerate_circle_tubings,
-    enumerate_tubings,
-    noncrossing_matchings,
-)
+from altcurves.tubing import configuration_tubing_count, count_tubings
 
-from conftest import VALID_NAMES, load_dual
+from conftest import (VALID_NAMES, PunctureCircle, TubingPlan, enumerate_circle_tubings,
+                      enumerate_tubings, load_dual, noncrossing_matchings)
 
 
 def _catalan(k):
@@ -89,11 +81,3 @@ def test_emitted_words_puncture_evenly():
     words = {w for r in results for cfg in r.configurations for w in cfg.words_plus}
     assert any(w.p_count > 4 for w in words)
     assert all(w.p_count % 2 == 0 for w in words)
-
-
-def test_closed_surface_upper_bound():
-    assert closed_surface_upper_bound(1, 2) == comb(4, 2)
-    assert closed_surface_upper_bound(54, 2) == 54 * 6
-    assert closed_surface_upper_bound(1, 3) == comb(8, 4)
-    with pytest.raises(ValueError):
-        closed_surface_upper_bound(1, 1)
