@@ -2,8 +2,8 @@
 
 Parse planar diagram codes, validate the reduced prime alternating
 hypotheses, enumerate standard-position curve configurations over the
-augmented dual graph, account for their surfaces with exact Euler
-arithmetic, and check the counts against closed-form polynomial caps.
+augmented dual graph, account for their surfaces by Euler
+characteristic, and check the counts against closed-form polynomial caps.
 """
 
 from .bounds import (
@@ -48,13 +48,7 @@ from .errors import (
     PreconditionError,
     TractabilityError,
 )
-from .euler import (
-    PolygonComplex,
-    build_polygon_complex,
-    euler_characteristic,
-    euler_crosscheck,
-    polygon_contribution,
-)
+from .euler import euler_crosscheck
 from .render import render_diagram
 from .tubing import configuration_tubing_count, count_tubings
 from .words import (

@@ -46,28 +46,21 @@ def genus2_surface_bound(n: int) -> int:
     return 12 * n**3
 
 
-def general_bound(n: int, genus: int, variant: str = "tight") -> int:
+def general_bound(n: int, genus: int) -> int:
     """Cap on genus-g configurations.
 
-    'tight' multiplies the per-letter choices actually available along a
-    maximal word, (4n) to the power max_word_length * max_curves; 'stated'
-    is the looser headline form with exponent 40 g^2 split between a power
-    of 4 and a power of n.
+    Multiplies the per-letter choices actually available along a maximal
+    word: (4n) to the power max_word_length * max_curves.  The paper's
+    looser headline form is c_g(genus) * n ** (40 g^2).
     """
     if genus < 2:
         raise ValueError(f"splitting surfaces start at genus 2, got {genus}")
-    k = comb(4 * genus - 4, 2 * genus - 2)
-    if variant == "tight":
-        exponent = (20 * genus - 16) * (2 * genus - 2)
-        return k * (4 * n) ** exponent
-    if variant == "stated":
-        exponent = 40 * genus * genus
-        return k * 4**exponent * n**exponent
-    raise ValueError(f"unknown bound variant {variant!r}")
+    exponent = (20 * genus - 16) * (2 * genus - 2)
+    return comb(4 * genus - 4, 2 * genus - 2) * (4 * n) ** exponent
 
 
 def c_g(genus: int) -> int:
-    """Constant factor of the stated general bound: c_g * n^(40 g^2)."""
+    """Constant factor of the paper's general bound: c_g * n^(40 g^2)."""
     if genus < 2:
         raise ValueError(f"splitting surfaces start at genus 2, got {genus}")
     return comb(4 * genus - 4, 2 * genus - 2) * 4 ** (40 * genus * genus)

@@ -7,9 +7,9 @@ optionally in parallel and with rendered SVGs), render (one diagram to SVG).
 Exit codes: 0 success, 1 domain failure (invalid diagram, violated bound),
 2 input problem (unreadable file, parse error, bad arguments), 3 guard abort
 (`enumerate` only: the general search exceeded its visited-walk cap), 4
-internal fault (a configuration that does not glue into a closed surface, or
-an exhaustive run outside its supported scale: a defect of the program, not
-of the input).
+internal fault (an emitted configuration whose Euler characteristic breaks
+its genus identity, or an exhaustive run outside its supported scale: a
+defect of the program, not of the input).
 """
 
 from __future__ import annotations

@@ -68,13 +68,12 @@ walker calls `check_word`: each builds only clean words.
   assemblies keep their state on explicit stacks, so no budget meets the
   recursion limit.
 
-The minus sphere of every emitted configuration mirrors the plus sphere:
-each saddle passes to the other sphere and the curve family closes up
-symmetrically, so the mirror is the unique completion with the same letters.
-Each word is canonical when it is generated: PPPP words are built so, the
-others canonicalized once.  `make_configuration` only sorts and mirrors
-canonical words.  A word walked more than once is deduped through a set,
-and the natural order of words and configurations is the canonical order.
+A configuration stores its plus sphere only; `Configuration` says why the
+minus sphere mirrors it.  Each word is canonical when it is generated: PPPP
+words are built so, the others canonicalized once.  `make_configuration`
+only sorts canonical words.  A word walked more than once is deduped
+through a set, and the natural order of words and configurations is the
+canonical order.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ class PreconditionError(ValueError):
 
 
 class EulerInconsistencyError(ValueError):
-    """A polygon complex does not close up (odd corners, sphere mismatch)."""
+    """A configuration breaks the Euler identity its genus requires."""
 
 
 class TractabilityError(ValueError):

@@ -10,8 +10,8 @@ Words are compared up to rotation and reversal; `canonicalize` picks the
 least representative.  The order lives in the types: a `Letter` is the tuple
 (kind, ref), so P letters sort before S letters, then by arc or by
 (crossing, side); a `CurveWord` orders by its letters, then its face trace;
-a `Configuration` by its plus words, then its minus words.  Sorting, `min`
-and set-based dedupe need no key functions.
+a `Configuration` by its plus words.  Sorting, `min` and set-based dedupe
+need no key functions.
 
 The executable constraints are numbered the way the count arguments use them:
 
@@ -218,13 +218,21 @@ def check_word(g: AugmentedDualGraph, w: CurveWord) -> list[Violation]:
 class Configuration:
     """Curve words on the two spheres of the standard position.
 
+    Only the plus sphere is stored.  The minus sphere mirrors it: each
+    saddle passes to the other sphere and the curve family closes up
+    symmetrically, so the mirror is the unique completion with the same
+    letters, and `words_minus` returns the plus words.
+
     p and s count puncture and saddle letters on the plus sphere only; c
     counts curves on both spheres.  |F| = p + s + c is the complexity.
-    Configurations order by their plus words, then their minus words.
+    Configurations order by their plus words.
     """
 
     words_plus: tuple[CurveWord, ...]
-    words_minus: tuple[CurveWord, ...]
+
+    @property
+    def words_minus(self) -> tuple[CurveWord, ...]:
+        return self.words_plus
 
     @property
     def p(self) -> int:
@@ -236,7 +244,7 @@ class Configuration:
 
     @property
     def c(self) -> int:
-        return len(self.words_plus) + len(self.words_minus)
+        return 2 * len(self.words_plus)
 
     @property
     def complexity(self) -> int:
@@ -244,15 +252,12 @@ class Configuration:
 
 
 def make_configuration(words) -> Configuration:
-    """Mirrored configuration of canonical words, sorted.
+    """Configuration of canonical words, sorted.
 
-    The minus sphere repeats the plus words, the convention used by the
-    enumerators (every saddle passes to the other sphere, and a
-    disk-bounding curve family closes up symmetrically).  The words must
-    already be canonical (`canonicalize`); they are not canonicalized again.
+    The words must already be canonical (`canonicalize`); they are not
+    canonicalized again.
     """
-    plus = tuple(sorted(words))
-    return Configuration(plus, plus)
+    return Configuration(tuple(sorted(words)))
 
 
 def channel_counts(words) -> Counter[SaddleChannel]:
@@ -263,18 +268,16 @@ def channel_counts(words) -> Counter[SaddleChannel]:
 def check_configuration(g: AugmentedDualGraph, cfg: Configuration) -> list[Violation]:
     """Configuration-level failures: channel balance (property 4).
 
-    Balance is required on each sphere separately: the two channels of a
-    crossing carry one passage per saddle each.
+    The two channels of a crossing carry one passage per saddle each.  The
+    minus sphere mirrors the plus sphere, so one sphere is checked.
     """
+    counts = channel_counts(cfg.words_plus)
     out: list[Violation] = []
-    for side_name, words in (("plus", cfg.words_plus), ("minus", cfg.words_minus)):
-        counts = channel_counts(words)
-        for crossing in sorted({ch.crossing for ch in counts}):
-            a, b = counts[(crossing, "A")], counts[(crossing, "B")]
-            if a != b:
-                out.append(Violation(
-                    4, crossing,
-                    f"{side_name} sphere: crossing {crossing} has {a} passages "
-                    f"through channel A but {b} through B",
-                ))
+    for crossing in sorted({ch.crossing for ch in counts}):
+        a, b = counts[(crossing, "A")], counts[(crossing, "B")]
+        if a != b:
+            out.append(Violation(
+                4, crossing,
+                f"crossing {crossing} has {a} passages through channel A but {b} through B",
+            ))
     return out

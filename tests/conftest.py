@@ -63,6 +63,30 @@ def has_consecutive_saddles(w) -> bool:
     return any(a == b == "S" for a, b in zip(kinds, kinds[1:] + kinds[:1]))
 
 
+def glued_complex(words_plus, words_minus) -> tuple[int, int, int]:
+    """(V, E, F) of the complex that two spheres' curve polygons glue into.
+
+    The reference for `euler.euler_crosscheck`.  Each word bounds a polygon
+    whose corners are its saddle letters.  At a crossing the four stacks of
+    corners (plus and minus sphere, channel A and B) must have equal height
+    h, and they glue four at a time into h vertices; each edge joins two
+    corners.  Unequal stacks fail an assertion.
+    """
+    def stacks(words):
+        return Counter((l.ref.crossing, l.ref.side)
+                       for w in words for l in w.letters if l.kind == "S")
+
+    plus, minus = stacks(words_plus), stacks(words_minus)
+    vertices = 0
+    for c in sorted({c for c, _ in plus} | {c for c, _ in minus}):
+        heights = {plus[c, "A"], plus[c, "B"], minus[c, "A"], minus[c, "B"]}
+        assert len(heights) == 1, f"crossing {c}: unequal saddle stacks {heights}"
+        vertices += heights.pop()
+    incidence = sum(plus.values()) + sum(minus.values())
+    assert incidence == 4 * vertices
+    return vertices, incidence // 2, len(words_plus) + len(words_minus)
+
+
 def _pairwise_classes(items, related):
     parent = list(range(len(items)))
 

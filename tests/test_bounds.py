@@ -36,18 +36,17 @@ def test_general_bound_tight():
 
 
 def test_general_bound_stated_dominates_tight():
+    # the paper's stated form is c_g * n^(40 g^2)
     assert c_g(2) == 6 * 4**160
-    assert general_bound(3, 2, variant="stated") == 6 * 4**160 * 3**160
+    assert c_g(3) == 70 * 4**360
     for n in (1, 2, 3, 7, 19):
         for g in (2, 3):
-            assert general_bound(n, g, variant="stated") >= general_bound(n, g)
+            assert c_g(g) * n ** (40 * g * g) >= general_bound(n, g)
 
 
 def test_bad_arguments():
     with pytest.raises(ValueError, match="genus 2"):
         general_bound(3, 1)
-    with pytest.raises(ValueError, match="variant"):
-        general_bound(3, 2, variant="loose")
     with pytest.raises(ValueError, match="genus 2"):
         c_g(0)
 

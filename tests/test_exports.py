@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from pathlib import Path
 from types import ModuleType
 
 import altcurves
@@ -30,3 +31,12 @@ def test_package_exports_come_from_module_exports():
         homes = [m.__name__ for m in MODULES
                  if name in _exports(m) and getattr(m, name) is obj]
         assert homes, f"altcurves.{name} is not exported by any module"
+
+
+def test_readme_library_example_runs():
+    # the README's one example under "## Library" runs as printed, so a
+    # stale import or call fails here
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

@@ -166,8 +166,7 @@ def test_natural_order_matches_old_keys(words, data):
     configs = []
     for _ in range(data.draw(st.integers(1, 6))):
         plus = data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=3))
-        minus = data.draw(st.lists(st.sampled_from(words), max_size=3))
-        configs.append(Configuration(tuple(sorted(plus)), tuple(sorted(minus))))
+        configs.append(Configuration(tuple(sorted(plus))))
     assert sorted(configs) == sorted(configs, key=_old_config_key)
     assert min(configs) == min(configs, key=_old_config_key)
 
@@ -260,7 +259,7 @@ def test_complexity_counts_both_spheres():
     assert cfg.complexity == 6
 
 
-def test_configuration_balance_per_sphere():
+def test_configuration_balance():
     g = load_dual("borromean")
     mixed = [w for w in closed_walks(g, 4)
              if not check_word(g, w) and w.s_count == 2
@@ -268,8 +267,8 @@ def test_configuration_balance_per_sphere():
     assert mixed, "borromean should carry two-crossing PSPS words"
     lone = make_configuration([canonicalize(mixed[0])])
     violations = check_configuration(g, lone)
-    assert violations
-    assert {v.prop for v in violations} == {4}
-    # plus and minus spheres are reported separately
-    assert any("plus sphere" in v.message for v in violations)
-    assert any("minus sphere" in v.message for v in violations)
+    # one violation per unbalanced crossing: the mirrored minus sphere is
+    # not checked again
+    crossings = sorted({l.ref.crossing for l in mixed[0].letters if l.kind == "S"})
+    assert [(v.prop, v.position) for v in violations] == [(4, c) for c in crossings]
+    assert all(f"crossing {v.position} has" in v.message for v in violations)
