@@ -73,6 +73,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _config_row(cfg) -> dict:
+    # `words_minus` is the plus words (`Configuration`), so one string serves both
+    words = " | ".join(serialize_word(w) for w in cfg.words_plus)
     return {
         "family": classify_family(cfg),
         "complexity": cfg.complexity,
@@ -81,8 +83,8 @@ def _config_row(cfg) -> dict:
         "curves": cfg.c,
         "chi": euler_crosscheck(cfg),
         "tubings": configuration_tubing_count(cfg),
-        "words_plus": " | ".join(serialize_word(w) for w in cfg.words_plus),
-        "words_minus": " | ".join(serialize_word(w) for w in cfg.words_minus),
+        "words_plus": words,
+        "words_minus": words,
     }
 
 

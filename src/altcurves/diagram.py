@@ -256,10 +256,9 @@ def build_diagram(pd: PdCode) -> Diagram:
     return Diagram(pd, arcs, tuple(faces), corner_map, arc_faces)
 
 
-def _check_spherical(pd: PdCode, arcs, faces) -> None:
-    # Euler check runs per connected component so that split (disconnected)
-    # diagrams still build and fail validation on the connected flag instead.
-    parent = {c: c for c in range(1, pd.n + 1)}
+def _components(n: int, arcs) -> list[list[int]]:
+    """The crossings 1..n grouped by connected component, each in order."""
+    parent = list(range(n + 1))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -271,9 +270,15 @@ def _check_spherical(pd: PdCode, arcs, faces) -> None:
         parent[find(e1[0])] = find(e2[0])
 
     groups: dict[int, list[int]] = {}
-    for c in range(1, pd.n + 1):
+    for c in range(1, n + 1):
         groups.setdefault(find(c), []).append(c)
-    for members in groups.values():
+    return list(groups.values())
+
+
+def _check_spherical(pd: PdCode, arcs, faces) -> None:
+    # Euler check runs per connected component so that split (disconnected)
+    # diagrams still build and fail validation on the connected flag instead.
+    for members in _components(pd.n, arcs):
         crossings = set(members)
         v = len(crossings)
         e = sum(1 for (e1, _) in arcs.values() if e1[0] in crossings)
@@ -312,7 +317,7 @@ def validate(d: Diagram) -> ValidationReport:
                     f"on face {d.corner_map[(c, k)]}"
                 )
 
-    connected = _crossing_graph_connected(d, removed=frozenset())
+    connected = len(_components(d.n, d.arcs)) == 1
     if not connected:
         failures.append("connected: underlying 4-valent graph is disconnected")
 
@@ -327,23 +332,6 @@ def validate(d: Diagram) -> ValidationReport:
             failures.append(f"prime: arcs {cut[0]} and {cut[1]} form a 2-edge cut")
 
     return ValidationReport(alternating, reduced, prime, connected, tuple(failures))
-
-
-def _crossing_graph_connected(d: Diagram, removed: frozenset[int]) -> bool:
-    adj: dict[int, list[int]] = {c: [] for c in d.crossing_ids}
-    for label, (e1, e2) in d.arcs.items():
-        if label in removed:
-            continue
-        adj[e1[0]].append(e2[0])
-        adj[e2[0]].append(e1[0])
-    stack = [1]
-    seen = {1}
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == d.n
 
 
 def _find_two_edge_cut(d: Diagram) -> tuple[int, int] | None:

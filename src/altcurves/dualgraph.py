@@ -8,6 +8,9 @@ Nodes are the faces of a validated diagram.  Two kinds of edges:
   at corners 0 and 2 of the crossing, channel B the faces at corners 1 and 3.
   The A/B labeling is a fixed global convention.
 
+Each edge gives two `Step`s, one leaving each of its faces.  `build_dual`
+prepares them once per diagram, and every walker reads them.
+
 Validated diagrams never produce self-loop edges of either kind; validation
 rules this out.  An arc with one face on both sides would be a bridge, which
 a 4-valent plane graph never has, and a channel whose two corners lie in one
@@ -22,7 +25,7 @@ from typing import NamedTuple
 from .diagram import Diagram, validate
 from .errors import PreconditionError
 
-__all__ = ["SaddleChannel", "Step", "AugmentedDualGraph", "build_dual"]
+__all__ = ["SaddleChannel", "Letter", "Step", "AugmentedDualGraph", "build_dual"]
 
 
 class SaddleChannel(NamedTuple):
@@ -38,30 +41,64 @@ class SaddleChannel(NamedTuple):
         return f"{self.crossing}{self.side}"
 
 
-@dataclass(frozen=True)
-class Step:
-    """A move leaving a face: kind 'P' crosses an arc, kind 'S' a channel."""
+class Letter(NamedTuple):
+    """kind 'P' with an arc ref, or kind 'S' with a SaddleChannel ref.
+
+    A letter names an edge of this graph, as a curve word spells it.
+    Letters of different kinds differ in their first field, so an arc is
+    never compared with a channel.
+    """
 
     kind: str
     ref: int | SaddleChannel
-    dest: int
+
+    def __str__(self) -> str:
+        return f"{self.kind}{self.ref}"
+
+
+class Step:
+    """A move leaving a face over an arc (kind 'P') or a channel (kind 'S').
+
+    `ref` is the arc or channel, `letter` the Letter a walk spells for it and
+    `dest` the face reached.  `touches` holds the crossings the letter meets:
+    both ends of the arc for a puncture, the channel's crossing for a
+    saddle.  `bit` marks a saddle's channel in a walk's used-channel mask,
+    1 << i for the i-th channel of `s_edges` (0 for a puncture), and
+    `punctures` is 1 for a puncture and 0 for a saddle.  The two steps over
+    one arc or channel share its letter and its `touches`.  Steps hash by
+    identity, so a dict keyed by steps never hashes their fields.
+    """
+
+    __slots__ = ("kind", "ref", "letter", "dest", "touches", "bit", "punctures")
+
+    def __init__(self, letter: Letter, dest: int, touches: frozenset[int], bit: int):
+        self.kind, self.ref = letter
+        self.letter = letter
+        self.dest = dest
+        self.touches = touches
+        self.bit = bit
+        self.punctures = 1 if letter.kind == "P" else 0
 
 
 @dataclass(frozen=True)
 class AugmentedDualGraph:
-    """Faces plus puncture and saddle adjacency, with deterministic ordering."""
+    """Faces plus puncture and saddle adjacency, with deterministic ordering.
+
+    `steps` maps each face to the steps leaving it: all P-steps, then all
+    S-steps, each in sorted ref order.  Every walker reads this one table.
+    """
 
     diagram: Diagram
     nodes: tuple[int, ...]
     p_edges: dict[int, tuple[int, int]]
     s_edges: dict[SaddleChannel, tuple[int, int]]
-    _steps: dict[int, tuple[Step, ...]]
+    steps: dict[int, tuple[Step, ...]]
 
     def steps_from(self, face: int) -> tuple[Step, ...]:
-        """All P-steps then all S-steps leaving `face`, in sorted ref order."""
-        if face not in self._steps:
+        """The steps leaving `face`; a face not in the graph is a ValueError."""
+        if face not in self.steps:
             raise ValueError(f"face {face} is not a node of this dual graph")
-        return self._steps[face]
+        return self.steps[face]
 
     def arc_crossings(self, arc: int) -> tuple[int, int]:
         """The crossings at the two ends of an arc (equal for a loop arc)."""
@@ -93,12 +130,18 @@ def build_dual(d: Diagram) -> AugmentedDualGraph:
 
     nodes = tuple(f.id for f in d.faces)
     steps: dict[int, list[Step]] = {f: [] for f in nodes}
-    for arc, (f1, f2) in sorted(p_edges.items()):
-        steps[f1].append(Step("P", arc, f2))
-        steps[f2].append(Step("P", arc, f1))
-    for ch, (f1, f2) in sorted(s_edges.items()):
-        steps[f1].append(Step("S", ch, f2))
-        steps[f2].append(Step("S", ch, f1))
+
+    def add(letter: Letter, faces: tuple[int, int], touches: frozenset[int], bit: int):
+        f1, f2 = faces
+        steps[f1].append(Step(letter, f2, touches, bit))
+        steps[f2].append(Step(letter, f1, touches, bit))
+
+    # both tables are already in sorted ref order
+    for arc, faces in p_edges.items():
+        (c1, _), (c2, _) = d.arcs[arc]
+        add(Letter("P", arc), faces, frozenset((c1, c2)), 0)
+    for i, (ch, faces) in enumerate(s_edges.items()):
+        add(Letter("S", ch), faces, frozenset((ch.crossing,)), 1 << i)
 
     frozen = {f: tuple(s) for f, s in steps.items()}
     return AugmentedDualGraph(d, nodes, p_edges, s_edges, frozen)

@@ -12,15 +12,16 @@ Three layers, kept deliberately separate:
   filters with the public checks only; the tests quotient its families pair
   by pair and compare them with the specialized results.
 
-All but the oracle walk one table, `_moves`, made once per diagram (once
-for both families in `enumerate_genus2`): the moves leaving each face, each
-with its letter, destination face and the crossings it touches.  The two
-moves over one arc or channel share what is prepared for it.  Only the
-general search reads follow lists (`_Follow`), the moves that may follow
-each move, each list built the first time it is read; `_adjacent_fault`
-alone decides properties 5 and 6 for them.  The genus-2 walkers test their
-few junctions themselves, so a genus-2 row builds no follow list.  No
-walker calls `check_word`: each builds only clean words.
+Every walker reads one table, the graph's own: the steps leaving each
+face (`AugmentedDualGraph.steps`), which `build_dual` prepares once per
+diagram, each with its letter, destination face and the crossings it
+touches (`Step`).  The oracle reads only letters and destinations.  Only
+the general search reads follow lists (`_Follow`), the steps that may
+follow each step, each list built the first time it is read;
+`_adjacent_fault` alone decides properties 5 and 6 for them.  The genus-2
+walkers test their few junctions themselves, so a genus-2 row builds no
+follow list.  No walker but the oracle calls `check_word`: each builds
+only clean words.
 
 * PPPP walks take three punctures from their least arc, skipping a second
   arc not above the first and a third equal to the second, which is the
@@ -81,12 +82,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .dualgraph import AugmentedDualGraph, SaddleChannel
+from .dualgraph import AugmentedDualGraph, Letter, SaddleChannel, Step
 from .errors import GuardAbort, TractabilityError
 from .words import (
     Configuration,
     CurveWord,
-    Letter,
     canonicalize,
     check_configuration,
     check_word,
@@ -203,32 +203,11 @@ def _tally(diagnostics: dict[int, int], violations) -> None:
 
 
 # ----------------------------------------------------------------------------
-# moves, shared by every walker but the oracle
+# follow lists, read by the general search
 # ----------------------------------------------------------------------------
 
 
-class _Move:
-    """A step of a walk, prepared once per diagram.
-
-    `touches` holds the crossings the letter meets: both ends of the arc for
-    a puncture, the channel's crossing for a saddle.  `bit` marks a saddle's
-    channel in a walk's used-channel mask (0 for a puncture), and
-    `punctures` is 1 for a puncture and 0 for a saddle.  The two moves over
-    one arc or channel share its letter and its `touches`.
-    """
-
-    __slots__ = ("kind", "letter", "dest", "touches", "bit", "punctures")
-
-    def __init__(self, letter: Letter, touches: frozenset[int], bit: int, dest: int):
-        self.kind = letter.kind
-        self.letter = letter
-        self.dest = dest
-        self.touches = touches
-        self.bit = bit
-        self.punctures = 1 if letter.kind == "P" else 0
-
-
-def _adjacent_fault(a: _Move, b: _Move) -> int | None:
+def _adjacent_fault(a: Step, b: Step) -> int | None:
     """The property (5 or 6) that letter `b` breaks right after `a`, if any."""
     if a.kind != b.kind:
         return None if a.touches.isdisjoint(b.touches) else 6
@@ -236,37 +215,22 @@ def _adjacent_fault(a: _Move, b: _Move) -> int | None:
 
 
 class _Follow(dict):
-    """The moves that may follow each move, each list built when first read.
+    """The steps that may follow each step, each list built when first read.
 
-    No move follows one it would break property 5 or 6 with.  Only the
+    No step follows one it would break property 5 or 6 with.  Only the
     general search reads follow lists; the genus-2 walkers test their few
     junctions themselves.
     """
 
-    __slots__ = ("moves",)
+    __slots__ = ("steps",)
 
-    def __init__(self, moves: dict):
-        self.moves = moves
+    def __init__(self, g: AugmentedDualGraph):
+        self.steps = g.steps
 
-    def __missing__(self, m: _Move) -> tuple:
+    def __missing__(self, m: Step) -> tuple:
         # from a list, not a generator (see `_frame_word`)
-        out = self[m] = tuple([n for n in self.moves[m.dest] if _adjacent_fault(m, n) is None])
+        out = self[m] = tuple([n for n in self.steps[m.dest] if _adjacent_fault(m, n) is None])
         return out
-
-
-def _moves(g: AugmentedDualGraph) -> dict[int, tuple[_Move, ...]]:
-    """The moves leaving each face, in the order of `steps_from`.
-
-    Each arc and each channel is prepared once, for the two moves over it.
-    No move links to another, so the table is freed at once when dropped,
-    not by the cyclic GC.
-    """
-    prepared = {arc: (Letter("P", arc), frozenset(g.arc_crossings(arc)), 0)
-                for arc in g.p_edges}
-    prepared.update((ch, (Letter("S", ch), frozenset((ch.crossing,)), 1 << i))
-                    for i, ch in enumerate(g.s_edges))
-    return {f: tuple([_Move(*prepared[step.ref], step.dest) for step in g.steps_from(f)])
-            for f in g.nodes}
 
 
 # ----------------------------------------------------------------------------
@@ -274,17 +238,15 @@ def _moves(g: AugmentedDualGraph) -> dict[int, tuple[_Move, ...]]:
 # ----------------------------------------------------------------------------
 
 
-def enumerate_pppp(g: AugmentedDualGraph, moves=None) -> EnumerationResult:
+def enumerate_pppp(g: AugmentedDualGraph) -> EnumerationResult:
     """All-puncture 4-letter curves, one configuration per clean word.
 
     Each word is walked once, from its least arc in the direction of its
     smaller second letter, and closed by looking up the arc joining its
     third face to its first; that walk is its canonical form.  On a prime
     diagram no two of these words share three arcs (module docstring).
-    `moves` is `_moves(g)`, built here when not given.
     """
-    moves = moves or _moves(g)
-    punctures = {f: [m for m in out if m.kind == "P"] for f, out in moves.items()}
+    punctures = {f: [m for m in out if m.kind == "P"] for f, out in g.steps.items()}
     words = []  # (letters, faces), which sort as their words do
     for start, out in punctures.items():
         # the arc back to `start` from each face next to it; there is at
@@ -311,26 +273,26 @@ def enumerate_pppp(g: AugmentedDualGraph, moves=None) -> EnumerationResult:
         tuple([make_configuration([CurveWord(*w)]) for w in words]), {})
 
 
-def _psps_words(moves: dict, diagnostics: dict[int, int]) -> list[CurveWord]:
+def _psps_words(g: AugmentedDualGraph, diagnostics: dict[int, int]) -> list[CurveWord]:
     # Closed walks are counted from the halves of each face pair, indexed by
     # their punctures; clean halves are built from a pair's smaller side
     # first and joined, and the walks failing property 6 are the difference
     # (module docstring).
-    saddles: dict[int, dict[int, list[_Move]]] = {}  # by face, then destination
-    for f, out in moves.items():
+    saddles: dict[int, dict[int, list[Step]]] = {}  # by face, then destination
+    for f, out in g.steps.items():
         by_dest = saddles[f] = {}
         for s in out:
             if s.kind == "S":
                 by_dest.setdefault(s.dest, []).append(s)
     halves: dict[tuple[int, int], list] = {}  # (from, to) -> [(puncture, saddles)]
-    for f, out in moves.items():
+    for f, out in g.steps.items():
         for p in out:
             if p.kind == "P":
                 for mid, ss in saddles[p.dest].items():
                     halves.setdefault((f, mid), []).append((p, ss))
     counts = {pair: sum(len(ss) for _, ss in hs) for pair, hs in halves.items()}
 
-    def clean(pair: tuple[int, int]) -> list[tuple[_Move, _Move]]:
+    def clean(pair: tuple[int, int]) -> list[tuple[Step, Step]]:
         return [(p, s) for p, ss in halves[pair] for s in ss
                 if p.touches.isdisjoint(s.touches)]
 
@@ -356,7 +318,7 @@ def _psps_words(moves: dict, diagnostics: dict[int, int]) -> list[CurveWord]:
     return sorted(seen)
 
 
-def enumerate_psps_pairs(g: AugmentedDualGraph, moves=None) -> EnumerationResult:
+def enumerate_psps_pairs(g: AugmentedDualGraph) -> EnumerationResult:
     """Balanced pairs of PSPS curves through opposite channels of two crossings.
 
     A curve using the saddles of two distinct crossings forces its partner
@@ -364,13 +326,11 @@ def enumerate_psps_pairs(g: AugmentedDualGraph, moves=None) -> EnumerationResult
     and the diagnostics tally every closed PSPS walk failing property 6 as
     all closed walks less the clean ones.  Each channel set keeps its least
     word, and each unordered {C, flip(C)} gives the pair of those least
-    words (module docstring).  `moves` is `_moves(g)`, built here when not
-    given.
+    words (module docstring).
     """
-    moves = moves or _moves(g)
     diagnostics: dict[int, int] = {}
     least: dict[frozenset[SaddleChannel], CurveWord] = {}
-    for w in _psps_words(moves, diagnostics):
+    for w in _psps_words(g, diagnostics):
         least.setdefault(_channels(w), w)
     # a channel set at one crossing is its own flip, so it pairs with nothing
     pairs = []
@@ -387,9 +347,8 @@ def enumerate_genus2(g: AugmentedDualGraph) -> EnumerationResult:
     The count is not checked here: `bounds.compare` reports it against the
     2n^3 cap.
     """
-    moves = _moves(g)
-    pppp = enumerate_pppp(g, moves)
-    psps = enumerate_psps_pairs(g, moves)
+    pppp = enumerate_pppp(g)
+    psps = enumerate_psps_pairs(g)
     # PPPP words are built clean, so only the PSPS pairs tally rejections
     return EnumerationResult(pppp.configurations + psps.configurations, psps.diagnostics)
 
@@ -409,7 +368,7 @@ def _pattern_rotations(patterns) -> set[str] | None:
     return out
 
 
-def _closing_faults(first: _Move, last: _Move, p: int, kinds: str) -> set[int]:
+def _closing_faults(first: Step, last: Step, p: int, kinds: str) -> set[int]:
     """The word properties a closed walk breaks (module docstring)."""
     faults = set()
     fault = _adjacent_fault(last, first)
@@ -435,13 +394,13 @@ def _general_words(
         max_len = min(max_len, max(len(p) for p in rotations))
         prefixes = {r[:i] for r in rotations for i in range(1, len(r) + 1)}
     max_p = budget.max_punctures
-    moves = _moves(g)
-    follow = _Follow(moves)
+    steps = g.steps
+    follow = _Follow(g)
     seen: set[CurveWord] = set()
 
     for start in g.nodes:
-        # A frame is a partial walk: its last move, the frame before it, its
-        # first move, its punctures, its used-channel mask and its P/S
+        # A frame is a partial walk: its last step, the frame before it, its
+        # first step, its punctures, its used-channel mask and its P/S
         # skeleton.  The root frame is the empty walk at `start`.
         stack = [(None, None, None, 0, 0, "")]
         while stack:
@@ -458,7 +417,7 @@ def _general_words(
                     seen.add(canonicalize(_frame_word(frame, start)))
             if length == max_len:
                 continue
-            for m in moves[start] if last is None else follow[last]:
+            for m in steps[start] if last is None else follow[last]:
                 if used & m.bit or p + m.punctures > max_p:
                     continue  # property 2, or the puncture budget
                 skeleton = kinds + m.kind
@@ -528,7 +487,7 @@ def enumerate_general(
         chosen += (pool[i],)
         p_total += p_counts[i]
         cfg = make_configuration(chosen)
-        bad = check_configuration(g, cfg)
+        bad = check_configuration(cfg)
         if bad:
             _tally(diagnostics, bad)
         else:
@@ -549,7 +508,8 @@ def oracle_enumerate(g: AugmentedDualGraph, max_len: int) -> EnumerationResult:
     Every closed walk of length <= max_len is generated letter by letter with
     no determination rules and no budget pruning; surviving words form all
     one- and two-word balanced configurations.  Kept deliberately independent
-    of the specialized enumerators so fixtures can confirm them.
+    of the specialized enumerators so fixtures can confirm them: it reads
+    only each step's letter and destination.
     """
     if max_len > 8:
         raise TractabilityError(f"oracle supports max_len <= 8, got {max_len}")
@@ -569,7 +529,7 @@ def oracle_enumerate(g: AugmentedDualGraph, max_len: int) -> EnumerationResult:
         if len(letters) == max_len:
             return
         for step in g.steps_from(here):
-            letters.append(Letter(step.kind, step.ref))
+            letters.append(step.letter)
             faces.append(step.dest)
             grow(start, letters, faces)
             letters.pop()
@@ -582,10 +542,10 @@ def oracle_enumerate(g: AugmentedDualGraph, max_len: int) -> EnumerationResult:
     configs: set[Configuration] = set()
     for i, w1 in enumerate(pool):
         single = make_configuration([w1])
-        if not check_configuration(g, single):
+        if not check_configuration(single):
             configs.add(single)
         for w2 in pool[i:]:
             cfg = make_configuration([w1, w2])
-            if not check_configuration(g, cfg):
+            if not check_configuration(cfg):
                 configs.add(cfg)
     return EnumerationResult(tuple(sorted(configs)), diagnostics)

@@ -38,9 +38,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .dualgraph import AugmentedDualGraph, SaddleChannel
+from .dualgraph import AugmentedDualGraph, Letter, SaddleChannel
 from .errors import PreconditionError
 
 __all__ = [
@@ -56,20 +55,6 @@ __all__ = [
     "channel_counts",
     "make_configuration",
 ]
-
-
-class Letter(NamedTuple):
-    """kind 'P' with an arc ref, or kind 'S' with a SaddleChannel ref.
-
-    Letters of different kinds differ in their first field, so an arc is
-    never compared with a channel.
-    """
-
-    kind: str
-    ref: int | SaddleChannel
-
-    def __str__(self) -> str:
-        return f"{self.kind}{self.ref}"
 
 
 @dataclass(frozen=True, order=True)
@@ -265,7 +250,7 @@ def channel_counts(words) -> Counter[SaddleChannel]:
     return Counter(l.ref for w in words for l in w.letters if l.kind == "S")
 
 
-def check_configuration(g: AugmentedDualGraph, cfg: Configuration) -> list[Violation]:
+def check_configuration(cfg: Configuration) -> list[Violation]:
     """Configuration-level failures: channel balance (property 4).
 
     The two channels of a crossing carry one passage per saddle each.  The

@@ -206,7 +206,7 @@ def test_word_predicates_match_independent_reimplementation():
     pair = next(c for c in enumerate_genus2(borromean).configurations
                 if classify_family(c) == "psps_pair")
     lone = make_configuration([pair.words_plus[0]])
-    assert {v.prop for v in check_configuration(borromean, lone)} == {4}
+    assert {v.prop for v in check_configuration(lone)} == {4}
 
     # everything the enumerators emit is clean
     for name in VALID_NAMES:
@@ -215,7 +215,7 @@ def test_word_predicates_match_independent_reimplementation():
             for w in cfg.words_plus:
                 assert check_word(g, w) == []
                 assert not has_consecutive_saddles(w)
-            assert check_configuration(g, cfg) == []
+            assert check_configuration(cfg) == []
 
 
 def test_euler_accounting_consistent():

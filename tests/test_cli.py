@@ -249,8 +249,8 @@ def test_over_cap_count_is_reported_not_raised(monkeypatch, capsys):
     # the trefoil has n = 3, so 55 configurations exceed the 2n^3 = 54 cap
     real = enumerators.enumerate_pppp
 
-    def over_cap(g, table=None):
-        configs = real(g, table).configurations[:1] * 55
+    def over_cap(g):
+        configs = real(g).configurations[:1] * 55
         return EnumerationResult(configs, {}, visited=0)
 
     monkeypatch.setattr(enumerators, "enumerate_pppp", over_cap)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altcurves.diagram import (
-    _crossing_graph_connected,
     _find_two_edge_cut,
     build_diagram,
     parse_pd,
@@ -153,13 +152,31 @@ def test_fixture_headers_are_comments():
         parse_pd(text)
 
 
+def _connected_without(d, removed):
+    # depth-first search over the crossings, skipping the removed arcs
+    adj = {c: [] for c in d.crossing_ids}
+    for label, (e1, e2) in d.arcs.items():
+        if label in removed:
+            continue
+        adj[e1[0]].append(e2[0])
+        adj[e2[0]].append(e1[0])
+    stack = [1]
+    seen = {1}
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen) == d.n
+
+
 def _two_edge_cut_by_scan(d):
     # oracle: the O(e^3) scan that removes every pair of non-loop arcs in
     # label order and reruns the connectivity test
     labels = [a for a, (e1, e2) in sorted(d.arcs.items()) if e1[0] != e2[0]]
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
-            if not _crossing_graph_connected(d, removed=frozenset((a, b))):
+            if not _connected_without(d, frozenset((a, b))):
                 return (a, b)
     return None
 

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altcurves.diagram import build_diagram, parse_pd, validate
-from altcurves.dualgraph import SaddleChannel, build_dual
+from altcurves.dualgraph import SaddleChannel, Step, build_dual
+from altcurves.enumerators import budgets, enumerate_general, enumerate_genus2, oracle_enumerate
 from altcurves.errors import PreconditionError
 
-from conftest import VALID_NAMES, load_diagram, load_dual, relabel
+from conftest import (VALID_NAMES, k4_network_pd, load_diagram, load_dual, relabel,
+                      two_bridge_pd)
 from gen_fixtures import cf_tree, leaf, parallel, pd_from_tree, series
 
 
@@ -92,6 +94,71 @@ def test_steps_mirror_edges():
                 assert set(table[step.ref]) == {f, step.dest}
     with pytest.raises(ValueError):
         load_dual("k3_1").steps_from(999)
+
+
+def _relabelled_dual(text, seed):
+    return build_dual(build_diagram(parse_pd(relabel(text, random.Random(seed)))))
+
+
+STEP_TABLE_CASES = (
+    [(name, None) for name in VALID_NAMES]
+    + [(f"torus_2_{n}", two_bridge_pd([n])) for n in (5, 9, 21, 41)]
+    + [(f"k4_network_{i}", k4_network_pd(terms)) for i, terms in enumerate((
+        [[2]] + [[1]] * 5,
+        [[1, 1]] + [[1]] * 5,
+        [[1, 2]] + [[1]] * 5,
+        [[3], [1], [1], [2], [1], [1]],
+    ))]
+)
+
+
+@pytest.mark.parametrize("name,text", STEP_TABLE_CASES, ids=[c[0] for c in STEP_TABLE_CASES])
+def test_step_table(name, text, monkeypatch):
+    made = [0]
+    real_init = Step.__init__
+
+    def counting_init(self, *args):
+        made[0] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(Step, "__init__", counting_init)
+    g = load_dual(name) if text is None else _relabelled_dual(text, 1)
+    edges = {**g.p_edges, **g.s_edges}
+    assert made[0] == 2 * len(edges)
+
+    # each arc and each channel gives two steps, sharing one letter and one
+    # `touches` object
+    by_ref = {}
+    for f in g.nodes:
+        for step in g.steps_from(f):
+            assert (step.kind, step.ref) == step.letter
+            by_ref.setdefault(step.ref, []).append(step)
+    assert by_ref.keys() == edges.keys()
+    for ref, (a, b) in by_ref.items():
+        assert a.letter is b.letter
+        assert a.touches is b.touches
+        assert {a.dest, b.dest} == set(edges[ref])
+    for arc in g.p_edges:
+        step = by_ref[arc][0]
+        assert step.touches == frozenset(g.arc_crossings(arc))
+        assert step.bit == 0
+        assert step.punctures == 1
+    bits = set()
+    for ch in g.s_edges:
+        step = by_ref[ch][0]
+        assert step.touches == {ch.crossing}
+        assert step.bit > 0 and step.bit & (step.bit - 1) == 0
+        assert step.punctures == 0
+        bits.add(step.bit)
+    assert len(bits) == len(g.s_edges)
+
+    # the walkers read the graph's steps and make none of their own
+    made[0] = 0
+    assert enumerate_genus2(g).configurations
+    enumerate_general(g, budgets(2), patterns=("PPPP", "PSPS"))
+    if g.diagram.n <= 7:  # the oracle's pairs grow too fast past this
+        oracle_enumerate(g, 4)
+    assert made[0] == 0
 
 
 def test_arc_crossings():

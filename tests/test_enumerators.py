@@ -114,7 +114,7 @@ def test_emitted_configurations_are_clean():
             for w in cfg.words_plus:
                 assert check_word(g, w) == []
                 assert not has_consecutive_saddles(w)
-            assert check_configuration(g, cfg) == []
+            assert check_configuration(cfg) == []
 
 
 def test_words_never_repeat_arcs_on_prime_diagrams():
@@ -316,7 +316,7 @@ def _balanced_psps_pairs(g):
     pairs = []
     for w1, w2 in combinations_with_replacement(words, 2):
         cfg = make_configuration([w1, w2])
-        if classify_family(cfg) == "psps_pair" and not check_configuration(g, cfg):
+        if classify_family(cfg) == "psps_pair" and not check_configuration(cfg):
             pairs.append(cfg.words_plus)
     return pairs
 
@@ -416,7 +416,7 @@ def test_psps_diagnostics_equal_check_word_tally(g, monkeypatch):
     assert {p: k for p, k in result.diagnostics.items() if p in word_props} == tally
     # PSPS generation builds only words that pass every word check
     assert checked == []
-    assert enumerators._psps_words(enumerators._moves(g), {}) == clean
+    assert enumerators._psps_words(g, {}) == clean
 
 
 # ----------------------------------------------------------------------------
@@ -452,7 +452,7 @@ def test_psps_words_equal_check_word_reference(text, seed):
     g = build_dual(d)
     tally, clean = _psps_reference(g)
     diagnostics: dict[int, int] = {}
-    assert enumerators._psps_words(enumerators._moves(g), diagnostics) == clean
+    assert enumerators._psps_words(g, diagnostics) == clean
     assert diagnostics == tally
 
 
@@ -490,21 +490,14 @@ def test_genus2_fault_tests_grow_with_the_output(monkeypatch):
             tests[self.kind, disjoint] += 1
             return disjoint
 
-    real_moves = enumerators._moves
-
-    def counting_moves(g):
-        moves = real_moves(g)
-        for out in moves.values():
-            for m in out:
-                m.touches = CountingTouches(m.touches)
-                m.touches.kind = m.kind
-        return moves
-
     monkeypatch.setattr(enumerators, "_adjacent_fault", counting_fault)
-    monkeypatch.setattr(enumerators, "_moves", counting_moves)
     made = {}
     for n, halves_tested in ((21, 84), (41, 164)):
         g = _torus_dual(n)
+        for out in g.steps.values():
+            for step in out:
+                step.touches = CountingTouches(step.touches)
+                step.touches.kind = step.kind
         faults[0] = 0
         tests.clear()
         result = enumerate_genus2(g)
@@ -592,7 +585,7 @@ def _reference_general(g, budget, patterns):
         guard.tick()
         if chosen:
             cfg = make_configuration(chosen)
-            bad = check_configuration(g, cfg)
+            bad = check_configuration(cfg)
             if bad:
                 tally(bad)
             else:

@@ -266,7 +266,7 @@ def test_configuration_balance():
              and len({l.ref.crossing for l in w.letters if l.kind == "S"}) == 2]
     assert mixed, "borromean should carry two-crossing PSPS words"
     lone = make_configuration([canonicalize(mixed[0])])
-    violations = check_configuration(g, lone)
+    violations = check_configuration(lone)
     # one violation per unbalanced crossing: the mirrored minus sphere is
     # not checked again
     crossings = sorted({l.ref.crossing for l in mixed[0].letters if l.kind == "S"})
