@@ -107,6 +107,31 @@ def test_enumerate_out_file(tmp_path, capsys):
     assert out.read_text().startswith(",".join(CONFIG_COLUMNS))
 
 
+# each record command, the paths it reads and every --format it accepts
+RECORD_COMMANDS = [
+    ("validate", [GRANNY, TREFOIL], ("text", "json")),
+    ("enumerate", [BORROMEAN], ("text", "json", "csv")),
+    ("bounds", [TREFOIL], ("text", "json")),
+    ("report", [GRANNY, TREFOIL], ("text", "json", "csv")),
+]
+
+
+@pytest.mark.parametrize("argv", [
+    [command, "--format", fmt, *paths]
+    for command, paths, formats in RECORD_COMMANDS for fmt in formats
+], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_out_writes_what_stdout_gets(argv, tmp_path, capsys):
+    code = main(argv)
+    stdout = capsys.readouterr().out
+    assert stdout
+    out = tmp_path / "records"
+    assert main([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == stdout.encode("utf-8")
+    assert main([*argv, "--out", "-"]) == code
+    assert capsys.readouterr().out == stdout
+
+
 def test_enumerate_patterns(capsys):
     assert main(["enumerate", "--patterns", "pppp", BORROMEAN]) == 0
     out = capsys.readouterr().out

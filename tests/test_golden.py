@@ -25,15 +25,28 @@ from conftest import FIXTURE_DIR, INVALID_NAMES, VALID_NAMES, fixture_path
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
+# golden file suffix -> the CLI's --format value
+_FORMATS = {"json": "json", "csv": "csv", "txt": "text"}
 
 
 def _cases() -> dict[str, list[str]]:
     every = [str(fixture_path(name)) for name in VALID_NAMES + INVALID_NAMES]
-    cases = {
-        "report.json": ["report", "--format", "json",
-                        str(FIXTURE_DIR), str(FIXTURE_DIR / "invalid")],
-        "validate.json": ["validate", "--format", "json", *every],
-    }
+    corpus = [str(FIXTURE_DIR), str(FIXTURE_DIR / "invalid")]
+    cases = {}
+    for fmt in ("json", "csv", "txt"):
+        cases[f"report.{fmt}"] = ["report", "--format", _FORMATS[fmt], *corpus]
+    for fmt in ("json", "txt"):
+        cases[f"validate.{fmt}"] = ["validate", "--format", _FORMATS[fmt], *every]
+        for name in ("borromean", "k3_1"):
+            cases[f"bounds-{name}.{fmt}"] = [
+                "bounds", "--format", _FORMATS[fmt], str(fixture_path(name)),
+            ]
+    # the text and CSV writers on a diagram with both genus-2 families
+    for fmt in ("csv", "txt"):
+        cases[f"enumerate-borromean.{fmt}"] = [
+            "enumerate", "--genus", "2", "--format", _FORMATS[fmt],
+            str(fixture_path("borromean")),
+        ]
     for name in VALID_NAMES:
         cases[f"enumerate-{name}.json"] = [
             "enumerate", "--genus", "2", "--format", "json", str(fixture_path(name)),
