@@ -55,7 +55,6 @@ from .words import (
     Configuration,
     CurveWord,
     Letter,
-    Violation,
     canonicalize,
     check_configuration,
     check_word,

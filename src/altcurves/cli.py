@@ -3,6 +3,8 @@
 Subcommands: validate (diagram hygiene), enumerate (curve configurations),
 bounds (counts against their polynomial caps), report (a corpus at a time,
 optionally in parallel and with rendered SVGs), render (one diagram to SVG).
+Every command hands its rows to one writer, `_write`, which emits them as
+JSON lines, CSV or text, as `--format` asks, to `--out` or to stdout.
 
 Exit codes: 0 success, 1 domain failure (invalid diagram, violated bound),
 2 input problem (unreadable file, parse error, bad arguments), 3 guard abort
@@ -65,11 +67,29 @@ def _load(path: str) -> Diagram:
         return build_diagram(parse_pd(f.read()))
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None or out == "-":
+def _write(args, rows, lines, kind=None, columns=None, summary=None) -> None:
+    """Write one command's records in `args.format` to `args.out` (stdout if absent or "-").
+
+    json: a line per row, typed `kind`, then `summary`, which names its own
+    type, when given; csv: a `columns` header, then a line per row; text:
+    `lines`, each ending in a newline, read only here.
+    """
+    if args.format == "json":
+        records = [{"type": kind, **row} for row in rows] + ([summary] if summary else [])
+        text = "".join(json.dumps({"schema_version": SCHEMA_VERSION, **record},
+                                  sort_keys=True) + "\n" for record in records)
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        text = buf.getvalue()
+    else:
+        text = "".join(lines)
+    if args.out in (None, "-"):
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
 
 
 def _config_row(cfg) -> dict:
@@ -88,52 +108,30 @@ def _config_row(cfg) -> dict:
     }
 
 
-def _csv_text(columns, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(columns), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True) + "\n"
-
-
 # ----------------------------------------------------------------------------
 # validate
 # ----------------------------------------------------------------------------
 
 
 def cmd_validate(args) -> int:
-    all_ok = True
-    pieces = []
+    rows = []
     for path in args.paths:
         d = _load(path)
         report = validate(d)
-        all_ok = all_ok and report.ok
-        if args.format == "json":
-            pieces.append(_json_line({
-                "type": "validation",
-                "schema_version": SCHEMA_VERSION,
-                "path": path,
-                "crossings": d.n,
-                "faces": len(d.faces),
-                "ok": report.ok,
-                "alternating": report.alternating,
-                "reduced": report.reduced,
-                "prime": report.prime,
-                "connected": report.connected,
-                "failures": list(report.failures),
-            }))
-        else:
-            if report.ok:
-                pieces.append(f"{path}: ok (n={d.n}, faces={len(d.faces)})\n")
+        rows.append({"path": path, "crossings": d.n, "faces": len(d.faces), "ok": report.ok,
+                     "alternating": report.alternating, "reduced": report.reduced,
+                     "prime": report.prime, "connected": report.connected,
+                     "failures": list(report.failures)})
+
+    def lines():
+        for row in rows:
+            if row["ok"]:
+                yield f"{row['path']}: ok (n={row['crossings']}, faces={row['faces']})\n"
             else:
-                why = "; ".join(report.failures)
-                pieces.append(f"{path}: FAIL ({why})\n")
-    _emit("".join(pieces), args.out)
-    return 0 if all_ok else 1
+                yield f"{row['path']}: FAIL ({'; '.join(row['failures'])})\n"
+
+    _write(args, rows, lines(), kind="validation")
+    return 0 if all(row["ok"] for row in rows) else 1
 
 
 # ----------------------------------------------------------------------------
@@ -163,36 +161,24 @@ def cmd_enumerate(args) -> int:
         result = enumerate_general(dual, budgets(args.genus), patterns=patterns,
                                    guard_cap=args.guard_cap)
     rows = [_config_row(cfg) for cfg in result.configurations]
-    summary = {
+    c = result.counts
+
+    def lines():
+        for row in rows:
+            yield (f"[{row['family']}] chi={row['chi']} complexity={row['complexity']} "
+                   f"tubings={row['tubings']} :: {row['words_plus']}\n")
+        yield (f"{args.path}: n={d.n} genus={args.genus} total={c['total']} "
+               f"(pppp={c['pppp']}, psps_pair={c['psps_pair']}, other={c['other']})\n")
+
+    _write(args, rows, lines(), kind="configuration", columns=CONFIG_COLUMNS, summary={
         "type": "summary",
-        "schema_version": SCHEMA_VERSION,
         "path": args.path,
         "crossings": d.n,
         "genus": args.genus,
-        "counts": result.counts,
+        "counts": c,
         "diagnostics": {str(k): v for k, v in sorted(result.diagnostics.items())},
         "visited": result.visited,
-    }
-    if args.format == "json":
-        pieces = [_json_line({"type": "configuration", "schema_version": SCHEMA_VERSION, **row})
-                  for row in rows]
-        pieces.append(_json_line(summary))
-        _emit("".join(pieces), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text(CONFIG_COLUMNS, rows), args.out)
-    else:
-        pieces = []
-        for row in rows:
-            pieces.append(
-                f"[{row['family']}] chi={row['chi']} complexity={row['complexity']} "
-                f"tubings={row['tubings']} :: {row['words_plus']}\n"
-            )
-        c = result.counts
-        pieces.append(
-            f"{args.path}: n={d.n} genus={args.genus} total={c['total']} "
-            f"(pppp={c['pppp']}, psps_pair={c['psps_pair']}, other={c['other']})\n"
-        )
-        _emit("".join(pieces), args.out)
+    })
     return 0
 
 
@@ -203,27 +189,22 @@ def cmd_enumerate(args) -> int:
 
 def cmd_bounds(args) -> int:
     d = _load(args.path)
-    result = enumerate_genus2(build_dual(d))
-    report = compare(d.n, result)
-    if args.format == "json":
-        _emit(_json_line({
-            "type": "bounds",
-            "schema_version": SCHEMA_VERSION,
-            "path": args.path,
-            "crossings": d.n,
-            "counts": report.counts,
-            "bounds": report.bounds,
-            "ok": report.ok,
-            "all_ok": report.all_ok,
-        }), args.out)
-    else:
-        pieces = [f"{args.path}: n={d.n}\n"]
-        for key in report.counts:
+    report = compare(d.n, enumerate_genus2(build_dual(d)))
+
+    def lines():
+        yield f"{args.path}: n={d.n}\n"
+        for key, count in report.counts.items():
             flag = "ok" if report.ok[key] else "VIOLATED"
-            pieces.append(
-                f"  {key:<14} {report.counts[key]:>8} <= {report.bounds[key]:<8} {flag}\n"
-            )
-        _emit("".join(pieces), args.out)
+            yield f"  {key:<14} {count:>8} <= {report.bounds[key]:<8} {flag}\n"
+
+    _write(args, [{
+        "path": args.path,
+        "crossings": d.n,
+        "counts": report.counts,
+        "bounds": report.bounds,
+        "ok": report.ok,
+        "all_ok": report.all_ok,
+    }], lines(), kind="bounds")
     return 0 if report.all_ok else 1
 
 
@@ -233,30 +214,17 @@ def cmd_bounds(args) -> int:
 
 
 def _collect_paths(raw_paths) -> list[str]:
-    files: list[str] = []
+    files: set[str] = set()
     for raw in raw_paths:
         p = Path(raw)
-        if p.is_dir():
-            files.extend(str(q) for q in sorted(p.glob("*.pd")))
-        else:
-            files.append(raw)
-    return sorted(dict.fromkeys(files))
+        files.update(map(str, p.glob("*.pd")) if p.is_dir() else [raw])
+    return sorted(files)
 
 
 def _report_row(path: str) -> dict:
     d = _load(path)
-    row = {
-        "path": path,
-        "n": d.n,
-        "valid": True,
-        "failures": "",
-        "pppp": "",
-        "psps_pair": "",
-        "other": "",
-        "configurations": "",
-        "surfaces": "",
-        "bounds_ok": "",
-    }
+    row = dict.fromkeys(REPORT_COLUMNS, "")
+    row.update(path=path, n=d.n, valid=True)
     try:
         # build_dual validates the diagram and raises only for an invalid
         # one, with the report attached, so each row validates once
@@ -264,15 +232,10 @@ def _report_row(path: str) -> dict:
     except PreconditionError as e:
         row.update(valid=False, failures="; ".join(e.report.failures))
         return row
-    breport = compare(d.n, result)
-    row.update({
-        "pppp": result.counts["pppp"],
-        "psps_pair": result.counts["psps_pair"],
-        "other": result.counts["other"],
-        "configurations": result.counts["total"],
-        "surfaces": breport.counts["surfaces"],
-        "bounds_ok": breport.all_ok,
-    })
+    c, breport = result.counts, compare(d.n, result)
+    row.update(pppp=c["pppp"], psps_pair=c["psps_pair"], other=c["other"],
+               configurations=c["total"], surfaces=breport.counts["surfaces"],
+               bounds_ok=breport.all_ok)
     return row
 
 
@@ -306,40 +269,27 @@ def cmd_report(args) -> int:
         render_dir = Path(args.render)
         render_dir.mkdir(parents=True, exist_ok=True)
         for row in rows:
-            if not row["valid"]:
-                continue
-            d = _load(row["path"])
-            svg = render_diagram(d, title=Path(row["path"]).stem)
-            (render_dir / (Path(row["path"]).stem + ".svg")).write_text(
-                svg, encoding="utf-8")
+            if row["valid"]:
+                stem = Path(row["path"]).stem
+                svg = render_diagram(_load(row["path"]), title=stem)
+                (render_dir / f"{stem}.svg").write_text(svg, encoding="utf-8")
 
     domain_ok = all(row["valid"] and row["bounds_ok"] is True for row in rows)
-    if args.format == "json":
-        pieces = [_json_line({"type": "report-row", "schema_version": SCHEMA_VERSION, **row})
-                  for row in rows]
-        pieces.append(_json_line({
-            "type": "report-summary",
-            "schema_version": SCHEMA_VERSION,
-            "diagrams": len(rows),
-            "all_ok": domain_ok,
-        }))
-        _emit("".join(pieces), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text(REPORT_COLUMNS, rows), args.out)
-    else:
-        pieces = []
+
+    def lines():
         for row in rows:
             if row["valid"]:
-                pieces.append(
-                    f"{row['path']}: n={row['n']} configurations={row['configurations']} "
-                    f"(pppp={row['pppp']}, psps_pair={row['psps_pair']}, "
-                    f"other={row['other']}) surfaces={row['surfaces']} "
-                    f"bounds_ok={row['bounds_ok']}\n"
-                )
+                yield (f"{row['path']}: n={row['n']} configurations={row['configurations']} "
+                       f"(pppp={row['pppp']}, psps_pair={row['psps_pair']}, "
+                       f"other={row['other']}) surfaces={row['surfaces']} "
+                       f"bounds_ok={row['bounds_ok']}\n")
             else:
-                pieces.append(f"{row['path']}: INVALID ({row['failures']})\n")
-        pieces.append(f"{len(rows)} diagrams, all_ok={domain_ok}\n")
-        _emit("".join(pieces), args.out)
+                yield f"{row['path']}: INVALID ({row['failures']})\n"
+        yield f"{len(rows)} diagrams, all_ok={domain_ok}\n"
+
+    _write(args, rows, lines(), kind="report-row", columns=REPORT_COLUMNS, summary={
+        "type": "report-summary", "diagrams": len(rows), "all_ok": domain_ok,
+    })
     return 0 if domain_ok else 1
 
 
@@ -359,7 +309,7 @@ def cmd_render(args) -> int:
                 f"(diagram has {len(result.configurations)})"
             )
         cfg = result.configurations[args.config]
-    _emit(render_diagram(d, cfg, title=Path(args.path).stem), args.out)
+    _write(args, (), [render_diagram(d, cfg, title=Path(args.path).stem)])
     return 0
 
 
@@ -378,6 +328,15 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _add_output(parser: argparse.ArgumentParser, *formats: str) -> None:
+    """--out, and --format with text (the default) and `formats`; text only if none."""
+    if formats:
+        parser.add_argument("--format", choices=("text", *formats), default="text")
+    else:
+        parser.set_defaults(format="text")
+    parser.add_argument("--out", default=None)
+
+
 # built once, at the first `main` call: `parse_args` keeps no state between calls
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -390,8 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="check diagrams are reduced prime alternating")
     p_val.add_argument("paths", nargs="+", metavar="FILE.pd")
-    p_val.add_argument("--format", choices=("text", "json"), default="text")
-    p_val.add_argument("--out", default=None)
+    _add_output(p_val, "json")
     p_val.set_defaults(func=cmd_validate)
 
     p_enum = sub.add_parser("enumerate", help="enumerate curve configurations")
@@ -403,14 +361,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="partial walks the general search (genus above 2, "
                              "or --patterns) may visit before it aborts with "
                              "exit code 3 (default %(default)s)")
-    p_enum.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_enum.add_argument("--out", default=None)
+    _add_output(p_enum, "json", "csv")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_bounds = sub.add_parser("bounds", help="compare genus-2 counts to their caps")
     p_bounds.add_argument("path", metavar="FILE.pd")
-    p_bounds.add_argument("--format", choices=("text", "json"), default="text")
-    p_bounds.add_argument("--out", default=None)
+    _add_output(p_bounds, "json")
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_rep = sub.add_parser("report", help="summarize a corpus of diagrams")
@@ -418,15 +374,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--jobs", type=_positive_int, default=1)
     p_rep.add_argument("--render", default=None, metavar="DIR",
                        help="also write one SVG per valid diagram")
-    p_rep.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_rep.add_argument("--out", default=None)
+    _add_output(p_rep, "json", "csv")
     p_rep.set_defaults(func=cmd_report)
 
     p_ren = sub.add_parser("render", help="render one diagram to SVG")
     p_ren.add_argument("path", metavar="FILE.pd")
     p_ren.add_argument("--config", type=int, default=None,
                        help="overlay this genus-2 configuration (by index)")
-    p_ren.add_argument("--out", default=None)
+    _add_output(p_ren)
     p_ren.set_defaults(func=cmd_render)
 
     return parser
@@ -436,9 +391,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PdSyntaxError, PdStructureError, PlanarityError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except PreconditionError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -448,7 +400,7 @@ def main(argv=None) -> int:
     except (EulerInconsistencyError, TractabilityError) as e:
         print(f"error: internal fault: {e}", file=sys.stderr)
         return 4
-    except ValueError as e:
+    except (ValueError, OSError) as e:  # the input's: unreadable, unparsable, out of range
         print(f"error: {e}", file=sys.stderr)
         return 2
 

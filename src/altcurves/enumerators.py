@@ -197,8 +197,8 @@ def _bump(diagnostics: dict[int, int], prop: int) -> None:
     diagnostics[prop] = diagnostics.get(prop, 0) + 1
 
 
-def _tally(diagnostics: dict[int, int], violations) -> None:
-    for prop in {v.prop for v in violations}:
+def _tally(diagnostics: dict[int, int], props: set[int]) -> None:
+    for prop in props:
         _bump(diagnostics, prop)
 
 

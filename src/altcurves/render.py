@@ -9,6 +9,7 @@ overlaid as closed splines through arc midpoints and crossing centers.
 
 from __future__ import annotations
 
+import html
 import math
 
 from .diagram import Diagram
@@ -203,7 +204,7 @@ def render_diagram(d: Diagram, cfg: Configuration | None = None,
     if title:
         lines.append(
             f'<text x="{_fmt(x0 + 12)}" y="{_fmt(y0 + 22)}" font-family="sans-serif" '
-            f'font-size="14" fill="#333">{title}</text>'
+            f'font-size="14" fill="#333">{html.escape(title, quote=False)}</text>'
         )
 
     for a in sorted(curves):

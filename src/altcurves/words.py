@@ -29,9 +29,11 @@ The executable constraints are numbered the way the count arguments use them:
 Property 1 (each curve bounds a disk) is a modeling assumption and has no
 check.
 
-The specialized and general enumerators build their words to pass these
-checks and never call `check_word`.  It is the brute-force oracle's filter,
-and the tests run it on what the enumerators emit.
+`check_word` and `check_configuration` return the set of property numbers a
+word or configuration breaks, empty when it is clean.  The specialized and
+general enumerators build their words to pass these checks and never call
+`check_word`.  It is the brute-force oracle's filter, and the tests run it
+on what the enumerators emit.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .errors import PreconditionError
 __all__ = [
     "Letter",
     "CurveWord",
-    "Violation",
     "Configuration",
     "canonicalize",
     "word_pattern",
@@ -123,15 +124,6 @@ def serialize_word(w: CurveWord) -> str:
     return " ".join(str(l) for l in w.letters)
 
 
-@dataclass(frozen=True)
-class Violation:
-    """A failed constraint: property number, letter/word position, detail."""
-
-    prop: int
-    position: int
-    message: str
-
-
 def _assert_walk(g: AugmentedDualGraph, w: CurveWord) -> None:
     for i, letter in enumerate(w.letters):
         here, there = w.faces[i], w.faces[(i + 1) % len(w)]
@@ -142,61 +134,31 @@ def _assert_walk(g: AugmentedDualGraph, w: CurveWord) -> None:
             )
 
 
-def check_word(g: AugmentedDualGraph, w: CurveWord) -> list[Violation]:
-    """All word-level constraint failures, in property order.
+def check_word(g: AugmentedDualGraph, w: CurveWord) -> set[int]:
+    """The numbers of the word-level properties `w` breaks; empty if none.
 
     The word must be a closed walk in `g` (PreconditionError otherwise).
     """
     _assert_walk(g, w)
-    out: list[Violation] = []
-    n = len(w)
-
-    seen: dict[SaddleChannel, int] = {}
-    for i, letter in enumerate(w.letters):
-        if letter.kind != "S":
-            continue
-        if letter.ref in seen:
-            out.append(Violation(2, i, f"channel {letter.ref} reused "
-                                       f"(first use at {seen[letter.ref]})"))
-        else:
-            seen[letter.ref] = i
-
-    for i, letter in enumerate(w.letters):
-        nxt = w.letters[(i + 1) % n]
-        if letter.kind == "P" and nxt.kind == "P" and letter.ref == nxt.ref:
-            out.append(Violation(5, i, f"arc {letter.ref} punctured twice in a row"))
-
-    for i, letter in enumerate(w.letters):
-        nxt = w.letters[(i + 1) % n]
-        pair = None
-        if letter.kind == "S" and nxt.kind == "P":
-            pair = (letter.ref, nxt.ref)
-        elif letter.kind == "P" and nxt.kind == "S":
-            pair = (nxt.ref, letter.ref)
-        if pair is not None:
-            channel, arc = pair
+    letters = w.letters
+    saddles = [l.ref for l in letters if l.kind == "S"]
+    broken = {2} if len(set(saddles)) < len(saddles) else set()
+    blocks = 0  # cyclic P-to-S junctions; the word is P^i S^j when there is one
+    for a, b in zip(letters, letters[1:] + letters[:1]):
+        if a.kind != b.kind:
+            arc, channel = (a.ref, b.ref) if a.kind == "P" else (b.ref, a.ref)
+            blocks += a.kind == "P"
             if channel.crossing in g.arc_crossings(arc):
-                out.append(Violation(6, i, f"saddle at crossing {channel.crossing} "
-                                           f"adjacent to puncture of arc {arc}"))
-
-    s_total = w.s_count
-    if s_total:
-        blocks = sum(
-            1
-            for i in range(n)
-            if w.letters[i].kind == "P" and w.letters[(i + 1) % n].kind == "S"
-        )
-        if blocks <= 1:
-            first_s = next(i for i, l in enumerate(w.letters) if l.kind == "S")
-            out.append(Violation(7, first_s, "word has the shape P^i S^j"))
-
-    if w.p_count < 2:
-        out.append(Violation(8, 0, f"only {w.p_count} puncture letters"))
-
-    if n < 4 or n % 2 == 1:
-        out.append(Violation(9, 0, f"length {n} is below 4 or odd"))
-
-    return sorted(out, key=lambda v: (v.prop, v.position))
+                broken.add(6)
+        elif a.kind == "P" and a.ref == b.ref:
+            broken.add(5)
+    if saddles and blocks <= 1:
+        broken.add(7)
+    if len(letters) - len(saddles) < 2:
+        broken.add(8)
+    if len(letters) < 4 or len(letters) % 2:
+        broken.add(9)
+    return broken
 
 
 @dataclass(frozen=True, order=True)
@@ -250,19 +212,12 @@ def channel_counts(words) -> Counter[SaddleChannel]:
     return Counter(l.ref for w in words for l in w.letters if l.kind == "S")
 
 
-def check_configuration(cfg: Configuration) -> list[Violation]:
-    """Configuration-level failures: channel balance (property 4).
+def check_configuration(cfg: Configuration) -> set[int]:
+    """{4} if some crossing's two channels carry unequal passages, else empty.
 
     The two channels of a crossing carry one passage per saddle each.  The
     minus sphere mirrors the plus sphere, so one sphere is checked.
     """
     counts = channel_counts(cfg.words_plus)
-    out: list[Violation] = []
-    for crossing in sorted({ch.crossing for ch in counts}):
-        a, b = counts[(crossing, "A")], counts[(crossing, "B")]
-        if a != b:
-            out.append(Violation(
-                4, crossing,
-                f"crossing {crossing} has {a} passages through channel A but {b} through B",
-            ))
-    return out
+    balanced = all(counts[(crossing, "A")] == counts[(crossing, "B")] for crossing, _ in counts)
+    return set() if balanced else {4}

@@ -45,6 +45,14 @@ def test_overlay_curves():
     assert len(legend) == 2
 
 
+def test_title_is_escaped():
+    # a title comes from a file name, which may hold XML's special characters
+    title = "R&D <k3_1>"
+    svg = render_diagram(load_diagram("k3_1"), title=title)
+    texts = [el.text for el in ET.fromstring(svg).iter(f"{SVG}text")]
+    assert title in texts
+
+
 def test_render_is_deterministic():
     a, _ = _render_tree("k6_2")
     b, _ = _render_tree("k6_2")
