@@ -221,7 +221,8 @@ def _collect_paths(raw_paths) -> list[str]:
     return sorted(files)
 
 
-def _report_row(path: str) -> dict:
+def _report_row(path: str) -> tuple[dict, Diagram]:
+    """A diagram's report row, and the diagram, parsed once for the row and its render."""
     d = _load(path)
     row = dict.fromkeys(REPORT_COLUMNS, "")
     row.update(path=path, n=d.n, valid=True)
@@ -231,12 +232,12 @@ def _report_row(path: str) -> dict:
         result = enumerate_genus2(build_dual(d))
     except PreconditionError as e:
         row.update(valid=False, failures="; ".join(e.report.failures))
-        return row
+        return row, d
     c, breport = result.counts, compare(d.n, result)
     row.update(pppp=c["pppp"], psps_pair=c["psps_pair"], other=c["other"],
                configurations=c["total"], surfaces=breport.counts["surfaces"],
                bounds_ok=breport.all_ok)
-    return row
+    return row, d
 
 
 def cmd_report(args) -> int:
@@ -246,10 +247,11 @@ def cmd_report(args) -> int:
         return 2
 
     def safe_row(path: str):
+        # (row, diagram), or (path, error) for a file that cannot be read
         try:
             return _report_row(path)
         except (OSError, PdSyntaxError, PdStructureError, PlanarityError) as e:
-            return (path, str(e))
+            return path, e
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -257,21 +259,19 @@ def cmd_report(args) -> int:
     else:
         outcomes = [safe_row(path) for path in files]
 
-    rows = []
-    for outcome in outcomes:
-        if isinstance(outcome, tuple):
-            path, message = outcome
-            print(f"error: {path}: {message}", file=sys.stderr)
+    for path, error in outcomes:
+        if isinstance(error, Exception):
+            print(f"error: {path}: {error}", file=sys.stderr)
             return 2
-        rows.append(outcome)
+    rows = [row for row, _ in outcomes]
 
     if args.render is not None:
         render_dir = Path(args.render)
         render_dir.mkdir(parents=True, exist_ok=True)
-        for row in rows:
+        for row, d in outcomes:
             if row["valid"]:
                 stem = Path(row["path"]).stem
-                svg = render_diagram(_load(row["path"]), title=stem)
+                svg = render_diagram(d, title=stem)
                 (render_dir / f"{stem}.svg").write_text(svg, encoding="utf-8")
 
     domain_ok = all(row["valid"] and row["bounds_ok"] is True for row in rows)

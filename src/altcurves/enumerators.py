@@ -5,9 +5,11 @@ Three layers, kept deliberately separate:
 * specialized genus-2 enumerators for the two word families a genus-2 splitting
   allows: a single all-puncture 4-letter curve (PPPP) or a pair of
   puncture-saddle curves (PSPS) through opposite channels of two crossings;
-* a general enumerator for closed even words subject to the word and
-  balance constraints, bounded by the genus-g search budget (`budgets`) and
-  by a cap on the partial walks it visits (the guard, `DEFAULT_GUARD_CAP`);
+* a general enumerator for the connected genus-g configurations: closed
+  even words subject to the word constraints, assembled exactly as the
+  genus-g identity below allows, balanced and one connected surface, under
+  a cap on the partial walks and selections it visits (the guard,
+  `DEFAULT_GUARD_CAP`);
 * a brute-force oracle that walks every closed path up to a small length and
   filters with the public checks only; the tests quotient its families pair
   by pair and compare them with the specialized results.
@@ -60,14 +62,32 @@ only clean words.
   skips `check_configuration`.  On a (2,n) torus knot every face pair's
   smaller side has at most two halves and no clean one, so the PSPS work
   is linear in n.
-* The general search prunes property 2 with a mask of used channels, and 5
-  and 6 through the follow lists.  A walk closes only at an even length of
-  at least 4 (9); there the closing pair is tested for 5 and 6, property 8
-  is read from the puncture count and 7 from the P/S skeleton (saddles
+* The general search is driven by the genus-g identity.  With w plus
+  words, s plus saddles and p plus punctures, chi = 2w - s/2
+  (`euler_crosscheck`), so chi - p = 2 - 2g says that the costs
+  p_w + length_w - 4 of the words sum to exactly 4g - 4.  A clean word has
+  at least 2 punctures (8) and 4 letters (9), so it costs at least 2.
+  Hence every partial word keeps p + length <= 4g (the walk cap); a walk
+  skips moves whose letter is below its first letter, since each cyclic
+  word, walked both ways, has a walk from a least letter (the start rule);
+  and a selection of pool words, by cost and with repetition, grows only
+  while its total is at most 4g - 4, and only a total of exactly 4g - 4 is
+  checked, for balance (4) and then for one component (10).  Components
+  come from a union-find joining words that share a saddle crossing: a
+  word's plus and minus disks glue into one piece, and pieces meet only
+  at saddle vertices, at crossings.  Where a crossing's saddles stack one
+  high, its one vertex joins every word through it; higher stacks are
+  joined whole, as the words do not record which passages share a saddle.
+  A kept configuration with chi - p other than 2 - 2g is a defect
+  (`EulerInconsistencyError`).
+  The walk prunes property 2 with a mask of used channels, and 5 and 6
+  through the follow lists.  A walk closes only at an even length of at
+  least 4 (9); there the closing pair is tested for 5 and 6, property 8 is
+  read from the puncture count and 7 from the P/S skeleton (saddles
   present, at most one cyclic P-to-S block start).  Each property a closed
-  walk breaks is tallied once, as `check_word` tallies it.  Walks and
-  assemblies keep their state on explicit stacks, so no budget meets the
-  recursion limit.
+  walk breaks is tallied once, as `check_word` tallies it, as is each
+  selection the assembly rejects.  Walks and selections keep their state
+  on explicit stacks, so no genus meets the recursion limit.
 
 A configuration stores its plus sphere only; `Configuration` says why the
 minus sphere mirrors it.  Each word is canonical when it is generated: PPPP
@@ -83,7 +103,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .dualgraph import AugmentedDualGraph, Letter, SaddleChannel, Step
-from .errors import GuardAbort, TractabilityError
+from .errors import EulerInconsistencyError, GuardAbort, TractabilityError
+from .euler import euler_crosscheck
 from .words import (
     Configuration,
     CurveWord,
@@ -112,11 +133,10 @@ DEFAULT_GUARD_CAP = 10_000_000
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Search limits for a genus-g run; `budgets` gives the ones a genus needs.
+    """The genus of a general search, which reads only `genus`.
 
-    max_punctures caps total plus-sphere punctures (also the length cap for
-    all-puncture words), max_curves caps curves per sphere, max_word_length
-    caps any single word.  genus records which genus the limits are for.
+    The other fields are what the genus-g identity implies (`budgets`):
+    caps on the plus sphere's punctures and curves and on a word's length.
     """
 
     genus: int
@@ -126,14 +146,19 @@ class EnumerationBudget:
 
 
 def budgets(genus: int) -> EnumerationBudget:
-    """Search budget that any genus-g splitting surface must fit inside."""
+    """The genus-g search, with the limits every genus-g configuration meets.
+
+    Word costs p_w + length_w - 4, each at least 2, sum to 4g - 4 (module
+    docstring): at most 2g - 2 words and 4g - 4 punctures, and, as p_w >= 2,
+    at most 4g - 2 letters a word.
+    """
     if genus < 2:
         raise ValueError(f"splitting surfaces start at genus 2, got {genus}")
     return EnumerationBudget(
         genus=genus,
         max_punctures=4 * genus - 4,
         max_curves=2 * genus - 2,
-        max_word_length=20 * genus - 16,
+        max_word_length=4 * genus - 2,
     )
 
 
@@ -354,7 +379,7 @@ def enumerate_genus2(g: AugmentedDualGraph) -> EnumerationResult:
 
 
 # ----------------------------------------------------------------------------
-# general budget-driven enumerator
+# general search, driven by the genus-g identity
 # ----------------------------------------------------------------------------
 
 
@@ -383,17 +408,16 @@ def _closing_faults(first: Step, last: Step, p: int, kinds: str) -> set[int]:
 
 def _general_words(
     g: AugmentedDualGraph,
-    budget: EnumerationBudget,
+    genus: int,
     rotations: set[str] | None,
     guard: _Guard,
     diagnostics: dict[int, int],
 ) -> list[CurveWord]:
-    max_len = budget.max_word_length
-    prefixes = None
+    cap = 4 * genus  # on p + length of every partial word (module docstring)
+    max_len = prefixes = None
     if rotations is not None:
-        max_len = min(max_len, max(len(p) for p in rotations))
+        max_len = max(len(p) for p in rotations)
         prefixes = {r[:i] for r in rotations for i in range(1, len(r) + 1)}
-    max_p = budget.max_punctures
     steps = g.steps
     follow = _Follow(g)
     seen: set[CurveWord] = set()
@@ -417,9 +441,12 @@ def _general_words(
                     seen.add(canonicalize(_frame_word(frame, start)))
             if length == max_len:
                 continue
+            room = cap - length - 1  # for p after one more letter
             for m in steps[start] if last is None else follow[last]:
-                if used & m.bit or p + m.punctures > max_p:
-                    continue  # property 2, or the puncture budget
+                if used & m.bit or p + m.punctures > room:
+                    continue  # property 2, or the walk cap
+                if first is not None and m.letter < first.letter:
+                    continue  # the walk from a least letter finds this word
                 skeleton = kinds + m.kind
                 if prefixes is not None and skeleton not in prefixes:
                     continue
@@ -442,58 +469,80 @@ def _frame_word(frame: tuple, start: int) -> CurveWord:
     return CurveWord(tuple(letters), tuple(faces))
 
 
+def _components(words) -> int:
+    """Components of the words, joined wherever two share a saddle crossing."""
+    parent = list(range(len(words)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    owner: dict[int, int] = {}  # crossing -> a word through it
+    for i, w in enumerate(words):
+        for l in w.letters:
+            if l.kind == "S":
+                j = owner.setdefault(l.ref.crossing, i)
+                parent[find(i)] = find(j)
+    return sum(parent[i] == i for i in range(len(words)))
+
+
 def enumerate_general(
     g: AugmentedDualGraph,
     budget: EnumerationBudget,
     patterns=None,
     guard_cap: int = DEFAULT_GUARD_CAP,
 ) -> EnumerationResult:
-    """Every configuration within the budget, deduped canonically only.
+    """Every connected genus-g configuration, g = `budget.genus`.
 
-    Words are closed even walks of length 4..max_word_length passing the word
-    checks (all-puncture words are further capped at max_punctures letters);
-    configurations take up to max_curves words per sphere with total plus
-    punctures within budget and balanced channels.  `patterns` optionally
-    restricts the P/S skeletons (up to rotation).  Search effort is capped by
-    `guard_cap` visited partial walks (word walks and configuration
-    assemblies); exceeding it raises GuardAbort.
+    A configuration is a multiset of clean words whose costs sum to exactly
+    4g - 4, balanced (property 4) and one component (10); see the module
+    docstring.  `patterns` optionally restricts the P/S skeletons (up to
+    rotation).  Search effort is capped by `guard_cap` visited partial
+    walks and selections; exceeding it raises GuardAbort.  A kept
+    configuration breaking chi - p = 2 - 2g raises EulerInconsistencyError.
     """
+    genus = budget.genus
     guard = _Guard(guard_cap)
     diagnostics: dict[int, int] = {}
-    rotations = _pattern_rotations(patterns)
-    # sorted by puncture count, so a selection's next words can stop at the
-    # first word past the budget; the order does not change which multisets
-    # are visited
-    pool = sorted(_general_words(g, budget, rotations, guard, diagnostics),
-                  key=lambda w: w.p_count)
-    p_counts = [w.p_count for w in pool]
-    max_p = budget.max_punctures
+    pool = _general_words(g, genus, _pattern_rotations(patterns), guard, diagnostics)
+    # by cost, so a selection's next words can stop at the first that overshoots
+    costs = sorted((len(w) + w.p_count - 4, w) for w in pool)
+    pool = [w for _, w in costs]
+    costs = [c for c, _ in costs]
+    target = 4 * genus - 4
 
-    configs: set[Configuration] = set()
+    configs = []
 
-    def fits(i: int, p_total: int) -> bool:
-        return i < len(pool) and p_total + p_counts[i] <= max_p
+    def fits(i: int, total: int) -> bool:
+        return i < len(pool) and total + costs[i] <= target
 
-    # Multisets of pool words, depth first.  An entry (i, chosen, p_total)
-    # is the selection `chosen` plus pool[i]; it stands for its later
-    # siblings too, which are pushed only when it is reached.
+    # Multisets of pool words, depth first.  An entry (i, chosen, total) is
+    # the selection `chosen` plus pool[i]; it stands for its later siblings
+    # too, which are pushed only when it is reached.
     guard.tick()  # the empty selection
-    stack = [(0, (), 0)] if budget.max_curves and fits(0, 0) else []
+    stack = [(0, (), 0)] if fits(0, 0) else []
     while stack:
-        i, chosen, p_total = stack.pop()
-        if fits(i + 1, p_total):
-            stack.append((i + 1, chosen, p_total))
+        i, chosen, total = stack.pop()
+        if fits(i + 1, total):
+            stack.append((i + 1, chosen, total))
         guard.tick()
         chosen += (pool[i],)
-        p_total += p_counts[i]
+        total += costs[i]
+        if total < target:
+            if fits(i, total):
+                stack.append((i, chosen, total))
+            continue
         cfg = make_configuration(chosen)
-        bad = check_configuration(cfg)
+        bad = check_configuration(cfg) or ({10} if _components(chosen) > 1 else set())
         if bad:
             _tally(diagnostics, bad)
+        elif euler_crosscheck(cfg) - cfg.p != 2 - 2 * genus:
+            raise EulerInconsistencyError(
+                f"chi - p = {euler_crosscheck(cfg) - cfg.p}, not {2 - 2 * genus}, "
+                f"for a genus-{genus} configuration")
         else:
-            configs.add(cfg)
-        if len(chosen) < budget.max_curves and fits(i, p_total):
-            stack.append((i, chosen, p_total))
+            configs.append(cfg)
     return EnumerationResult(tuple(sorted(configs)), diagnostics, guard.visited)
 
 

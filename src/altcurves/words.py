@@ -25,6 +25,9 @@ The executable constraints are numbered the way the count arguments use them:
   7  no word of the form P^i S^j with j > 0
   8  at least two punctures per word
   9  word length at least 4 and even
+ 10  one connected surface: the configuration's words form one component
+     when two words are joined wherever they share a saddle crossing (the
+     general search's configurations only; `enumerators` says why)
 
 Property 1 (each curve bounds a disk) is a modeling assumption and has no
 check.
@@ -125,10 +128,10 @@ def serialize_word(w: CurveWord) -> str:
 
 
 def _assert_walk(g: AugmentedDualGraph, w: CurveWord) -> None:
-    for i, letter in enumerate(w.letters):
-        here, there = w.faces[i], w.faces[(i + 1) % len(w)]
-        edge = g.p_edges.get(letter.ref) if letter.kind == "P" else g.s_edges.get(letter.ref)
-        if edge is None or tuple(sorted((here, there))) != edge:
+    faces = w.faces
+    for i, (letter, here, there) in enumerate(zip(w.letters, faces, faces[1:] + faces[:1])):
+        edge = (g.p_edges if letter.kind == "P" else g.s_edges).get(letter.ref)
+        if edge != (here, there) and edge != (there, here):
             raise PreconditionError(
                 f"letter {letter} at position {i} does not join faces {here},{there}"
             )

@@ -146,8 +146,12 @@ def test_enumerate_bad_pattern(capsys):
 def test_enumerate_guard_flag(capsys):
     assert main(["enumerate", "--genus", "9", "--guard-cap", "2000", TREFOIL]) == 3
     assert "guard tripped" in capsys.readouterr().err
-    assert main(["enumerate", "--genus", "3", "--guard-cap", "100000", TREFOIL]) == 0
-    assert "total=15" in capsys.readouterr().out
+    # k4_1 at genus 3 visits 1,534 partial walks and selections in all
+    figure8 = str(fixture_path("k4_1"))
+    assert main(["enumerate", "--genus", "3", "--guard-cap", "1533", figure8]) == 3
+    assert "guard tripped: 1534 partial walks visited (cap 1533)" in capsys.readouterr().err
+    assert main(["enumerate", "--genus", "3", "--guard-cap", "1534", figure8]) == 0
+    assert "total=4 (pppp=0, psps_pair=0, other=4)" in capsys.readouterr().out
     # a cap below 1 is a bad argument, rejected before any search
     for cap in ("0", "-5", "many"):
         with pytest.raises(SystemExit) as exit_:
@@ -159,14 +163,14 @@ def test_enumerate_guard_flag(capsys):
 
 
 def test_deep_genus_trips_the_guard_without_a_traceback():
-    # genus 300 allows words of 5984 letters, far past Python's recursion
-    # limit, so the walk must not recurse once per letter; 1500 visits take
-    # the first walk past that limit
+    # at genus 600 a walk of punctures alone may reach 1200 letters
+    # (p + length <= 4g), past Python's recursion limit, so the walk must
+    # not recurse once per letter; 1500 visits take the first walk there
     src = str(Path(altcurves.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run(
         [sys.executable, "-m", "altcurves.cli", "enumerate", str(fixture_path("hopf")),
-         "--genus", "300", "--guard-cap", "1500"],
+         "--genus", "600", "--guard-cap", "1500"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert run.returncode == 3
@@ -219,8 +223,31 @@ def test_cli_surface_is_pinned():
 
 
 def test_enumerate_genus3(capsys):
+    # the trefoil's only selections of genus-3 cost are pairs of saddle-free
+    # words, two spheres each, so it has no connected genus-3 surface
     assert main(["enumerate", "--genus", "3", TREFOIL]) == 0
-    assert "total=15" in capsys.readouterr().out
+    assert "total=0 (pppp=0, psps_pair=0, other=0)" in capsys.readouterr().out
+
+
+# Connected genus-3 configurations of each fixture, as the three-way
+# reference in test_enumerators derives them.
+GENUS3_COUNTS = {
+    "borromean": 19, "hopf": 0, "k3_1": 0, "k4_1": 4, "k5_1": 0, "k5_2": 4,
+    "k6_1": 6, "k6_2": 10, "k6_3": 12, "k7_1": 0, "k7_2": 8, "k7_3": 12,
+    "k7_4": 16, "k7_5": 16, "k7_6": 18, "k7_7": 17,
+}
+
+
+def test_genus3_corpus_runs_within_two_million_visits(capsys):
+    # A speed regression test that counts work, not time: the slowest
+    # fixture, k7_1, visits about 1.72 million partial walks and selections.
+    assert sorted(GENUS3_COUNTS) == sorted(p.stem for p in FIXTURE_DIR.glob("*.pd"))
+    for name, count in GENUS3_COUNTS.items():
+        argv = ["enumerate", "--genus", "3", "--guard-cap", "2000000", "--format", "json",
+                str(fixture_path(name))]
+        assert main(argv) == 0, name
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert summary["counts"]["total"] == count, name
 
 
 def test_bounds_text(capsys):
@@ -338,6 +365,27 @@ def test_report_render_directory(tmp_path, capsys):
                  str(FIXTURE_DIR / "invalid"), TREFOIL]) == 1
     assert "INVALID" in capsys.readouterr().out
     assert [p.name for p in invalid_dir.glob("*.svg")] == ["k3_1.svg"]
+
+
+def test_report_render_parses_each_diagram_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real_parse = cli.parse_pd
+
+    def counting_parse(text):
+        calls.append(text)
+        return real_parse(text)
+
+    monkeypatch.setattr(cli, "parse_pd", counting_parse)
+    assert main(["report", "--render", str(tmp_path), TREFOIL, BORROMEAN]) == 0
+    assert len(calls) == 2
+    out = capsys.readouterr().out
+    monkeypatch.undo()
+    # the same rows and drawings as the report and the render command give
+    assert main(["report", TREFOIL, BORROMEAN]) == 0
+    assert capsys.readouterr().out == out
+    for path in (TREFOIL, BORROMEAN):
+        assert main(["render", path]) == 0
+        assert (tmp_path / f"{Path(path).stem}.svg").read_text() == capsys.readouterr().out
 
 
 def test_render_plain(capsys):

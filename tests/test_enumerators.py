@@ -15,8 +15,6 @@ from altcurves import enumerators
 from altcurves.diagram import build_diagram, parse_pd, validate
 from altcurves.dualgraph import SaddleChannel, build_dual
 from altcurves.enumerators import (
-    EnumerationBudget,
-    EnumerationResult,
     budgets,
     classify_family,
     enumerate_general,
@@ -25,7 +23,7 @@ from altcurves.enumerators import (
     enumerate_psps_pairs,
     oracle_enumerate,
 )
-from altcurves.errors import GuardAbort, TractabilityError
+from altcurves.errors import EulerInconsistencyError, GuardAbort, TractabilityError
 from altcurves.euler import euler_crosscheck
 from altcurves.words import (
     CurveWord,
@@ -166,23 +164,25 @@ def test_saddle_pair_quotient_merges_shared_channel_sets():
     assert len(reps) == 2
 
 
+def _genus2_family_duals():
+    """The fixtures, then relabelled 2-bridge and pretzel diagrams up to 8 crossings."""
+    texts = [two_bridge_pd(list(terms)) for k in range(1, 4)
+             for terms in product(range(1, 4), repeat=k) if 2 <= sum(terms) <= 8]
+    texts += [_pretzel_pd(terms) for k in range(2, 5)
+              for terms in product(range(1, 4), repeat=k) if sum(terms) <= 8]
+    return [load_dual(name) for name in VALID_NAMES] + _valid_duals(texts, 12)
+
+
 def test_general_matches_specialized_at_genus_two():
-    for name in ("k3_1", "k4_1", "borromean"):
-        g = load_dual(name)
+    # at genus 2 the identity leaves exactly the two families: one PPPP word
+    # (cost 4) or two PSPS words (cost 2 each), balanced and connected
+    duals = _genus2_family_duals()
+    assert len(duals) >= 100
+    for g in duals:
         spec = enumerate_genus2(g)
         general = enumerate_general(g, budgets(2))
-        spec_keys = {
-            tuple(serialize_word(w) for w in cfg.words_plus)
-            for cfg in spec.configurations
-        }
-        general_family_keys = {
-            tuple(serialize_word(w) for w in cfg.words_plus)
-            for cfg in general.configurations
-            if classify_family(cfg) != "other"
-        }
-        assert spec_keys == general_family_keys, name
-        assert general.counts["pppp"] == spec.counts["pppp"]
-        assert general.counts["psps_pair"] == spec.counts["psps_pair"]
+        assert general.configurations == tuple(sorted(spec.configurations))
+        assert general.counts == spec.counts
 
 
 def test_general_pattern_restriction():
@@ -205,21 +205,38 @@ def test_general_is_deterministic():
 
 
 def test_genus3_runs_on_trefoil():
+    # Within the genus-3 walk cap p + length <= 12 the trefoil's clean words
+    # are its three PPPP words, each of cost 4.  So the selections of cost
+    # exactly 8 are the six pairs of them, repeats included.  They are
+    # balanced (no saddles), but saddle-free words share no crossing, so
+    # each pair is two spheres and no genus-3 surface is left.
     g = load_dual("k3_1")
+    guard = enumerators._Guard(enumerators.DEFAULT_GUARD_CAP)
+    pool = enumerators._general_words(g, 3, None, guard, {})
+    assert [make_configuration([w]) for w in pool] == \
+        list(enumerate_pppp(g).configurations)
     result = enumerate_general(g, budgets(3))
-    assert result.counts["total"] == 15
-    assert result.counts["pppp"] == 3
-    # the genus-2 families persist inside the genus-3 budget
-    spec = enumerate_genus2(g)
-    spec_keys = {
-        tuple(serialize_word(w) for w in cfg.words_plus)
-        for cfg in spec.configurations
-    }
-    gen_keys = {
-        tuple(serialize_word(w) for w in cfg.words_plus)
-        for cfg in result.configurations
-    }
-    assert spec_keys <= gen_keys
+    assert result.configurations == ()
+    assert result.diagnostics[10] == comb(3 + 1, 2)
+    assert 4 not in result.diagnostics
+
+
+def test_genus3_configurations_are_connected_genus3_surfaces():
+    # k4_1 keeps four; each is one word, so connected, and meets the identity
+    result = enumerate_general(load_dual("k4_1"), budgets(3))
+    assert result.counts == {"pppp": 0, "psps_pair": 0, "other": 4, "total": 4}
+    for cfg in result.configurations:
+        assert len(cfg.words_plus) == 1
+        v, e, f = glued_complex(cfg.words_plus, cfg.words_minus)
+        assert v - e + f - cfg.p == euler_crosscheck(cfg) - cfg.p == 2 - 2 * 3
+
+
+def test_identity_breach_is_an_internal_fault(monkeypatch):
+    # the identity holds on every balanced selection of total cost 4g - 4,
+    # so only a broken Euler count can reach the raise
+    monkeypatch.setattr(enumerators, "euler_crosscheck", lambda cfg: 99)
+    with pytest.raises(EulerInconsistencyError, match="genus-3"):
+        enumerate_general(load_dual("k4_1"), budgets(3))
 
 
 def test_guard_abort_carries_stats():
@@ -232,25 +249,32 @@ def test_guard_abort_carries_stats():
 
 
 def test_assembly_depth_is_not_bounded_by_the_stack():
-    # a selection may hold max_curves words; the assembly keeps selections
-    # on an explicit stack, so its depth never meets the recursion limit,
-    # lowered here to keep the selections short
+    # The assembly keeps selections on an explicit stack, so its depth
+    # never meets the recursion limit, lowered here to keep the test short.
+    # The hopf link's one PPPP word costs 4, so at genus 402 the one
+    # selection of cost 4g - 4 = 1604 takes it 401 times; 401 copies of a
+    # saddle-free word are 401 spheres, rejected as disconnected.
     g = load_dual("hopf")
-    budget = EnumerationBudget(2, 4 * 400, 400, 4)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
-        result = enumerate_general(g, budget)
+        result = enumerate_general(g, budgets(402), patterns=("PPPP",))
     finally:
         sys.setrecursionlimit(limit)
-    # the hopf link's one 4-letter word, taken 1 to 400 times
-    assert len({w for cfg in result.configurations for w in cfg.words_plus}) == 1
-    assert [len(cfg.words_plus) for cfg in result.configurations] == list(range(1, 401))
+    assert result.configurations == ()
+    assert result.diagnostics == {10: 1}
+    walk = enumerate_general(g, budgets(2), patterns=("PPPP",))
+    # the same walk at both genera, as patterns cap the length at 4; then the
+    # empty selection and one per number of copies, 1 to 401
+    assert result.visited == walk.visited - 2 + 1 + 401
 
 
 def test_budget_fields():
-    b = EnumerationBudget(2, 4, 2, 24)
-    assert (b.genus, b.max_punctures, b.max_curves, b.max_word_length) == (2, 4, 2, 24)
+    # exactly what the genus-g identity implies (enumerators module docstring)
+    for genus in range(2, 7):
+        b = budgets(genus)
+        assert (b.genus, b.max_punctures, b.max_curves, b.max_word_length) == \
+            (genus, 4 * genus - 4, 2 * genus - 2, 4 * genus - 2)
 
 
 def test_budgets_start_at_genus_two():
@@ -511,106 +535,121 @@ def test_genus2_fault_tests_grow_with_the_output(monkeypatch):
 
 
 # ----------------------------------------------------------------------------
-# the general search against a walk that filters closed walks with check_word
+# the general search against a three-way reference: every closed walk
+# filtered by check_word, the Euler identity of the glued complex, and
+# connectivity by breadth-first search
 # ----------------------------------------------------------------------------
 
 
-def _reference_general(g, budget, patterns):
-    """The general search with every closed walk filtered by `check_word`.
+def _reference_words(g, genus, patterns):
+    """Every clean word a genus-g configuration can use, from every start.
 
-    Returns the word pool, the guard's visits and the diagnostics as they
-    stand after the walk, as one tuple, and then the full EnumerationResult.
-    Recursive, so only for small budgets.
+    No start rule: each closed walk whose cost p + length - 4 stays at most
+    4g - 4, with that cap and properties 2, 5 and 6 pruned letter by letter,
+    is filtered by `check_word`.  Recursive, so only for small genera.
     """
-    guard = enumerators._Guard(enumerators.DEFAULT_GUARD_CAP)
-    diagnostics: dict[int, int] = {}
-    rotations = enumerators._pattern_rotations(patterns)
-    max_len = budget.max_word_length
-    if rotations is not None:
-        max_len = min(max_len, max(len(p) for p in rotations))
+    skeletons = None if patterns is None else \
+        {pat[i:] + pat[:i] for pat in patterns for i in range(len(pat))}
+    max_len = max(map(len, skeletons)) if skeletons else None
+    ends = {arc: g.arc_crossings(arc) for arc in g.p_edges}
     seen = set()
+    letters, faces = [], []
 
-    def tally(props):
-        for prop in props:
-            diagnostics[prop] = diagnostics.get(prop, 0) + 1
-
-    def extend(start, letters, faces, used, p_used):
-        guard.tick()
+    def extend(start, used, p_used):
         here = faces[-1]
         length = len(letters)
         if length and here == start and length >= 4 and length % 2 == 0:
-            word = CurveWord(letters, faces[:-1])
-            if rotations is None or "".join(l.kind for l in letters) in rotations:
-                bad = check_word(g, word)
-                if bad:
-                    tally(bad)
-                else:
+            if skeletons is None or "".join(l.kind for l in letters) in skeletons:
+                word = CurveWord(tuple(letters), tuple(faces[:-1]))
+                if not check_word(g, word):
                     seen.add(canonicalize(word))
         if length == max_len:
             return
-        kinds = "" if rotations is None else "".join(l.kind for l in letters)
         prev = letters[-1] if letters else None
         for step in g.steps_from(here):
-            if rotations is not None and \
-                    not any(r.startswith(kinds + step.kind) for r in rotations):
-                continue
+            if p_used + (step.kind == "P") + length + 1 > 4 * genus:
+                continue  # the word's cost would pass 4g - 4
             if step.kind == "P":
-                if p_used == budget.max_punctures:
-                    continue
                 if prev and prev.kind == "P" and prev.ref == step.ref:
                     continue  # property 5
-                if prev and prev.kind == "S" and \
-                        prev.ref.crossing in g.arc_crossings(step.ref):
+                if prev and prev.kind == "S" and prev.ref.crossing in ends[step.ref]:
                     continue  # property 6
-                extend(start, letters + (Letter("P", step.ref),),
-                       faces + (step.dest,), used, p_used + 1)
+                p_next, used_next = p_used + 1, used
             else:
                 if step.ref in used:
                     continue  # property 2
-                if prev and prev.kind == "P" and \
-                        step.ref.crossing in g.arc_crossings(prev.ref):
+                if prev and prev.kind == "P" and step.ref.crossing in ends[prev.ref]:
                     continue  # property 6
-                extend(start, letters + (Letter("S", step.ref),),
-                       faces + (step.dest,), used | {step.ref}, p_used)
+                p_next, used_next = p_used, used | {step.ref}
+            letters.append(step.letter)
+            faces.append(step.dest)
+            extend(start, used_next, p_next)
+            letters.pop()
+            faces.pop()
 
     for start in g.nodes:
-        extend(start, (), (start,), frozenset(), 0)
-    words = sorted(seen)
-    walk = (words, guard.visited, dict(diagnostics))
+        faces.append(start)
+        extend(start, frozenset(), 0)
+        faces.pop()
+    return sorted(seen)
 
-    pool = sorted(words, key=lambda w: w.p_count)
-    configs = set()
 
-    def assemble(index, chosen, p_total):
-        guard.tick()
+def _connected(words) -> bool:
+    """Breadth-first search over the words, two adjacent when they share a saddle crossing."""
+    crossings = [{l.ref.crossing for l in w.letters if l.kind == "S"} for w in words]
+    reached, frontier = {0}, [0]
+    while frontier:
+        i = frontier.pop()
+        for j in range(len(words)):
+            if j not in reached and crossings[i] & crossings[j]:
+                reached.add(j)
+                frontier.append(j)
+    return len(reached) == len(words)
+
+
+def _reference_general(g, genus, patterns):
+    """The reference words, and the connected genus-g configurations of them.
+
+    A multiset of words is kept when it is balanced (`check_configuration`),
+    its glued complex has V - E + F - p = 2 - 2g and it is connected.  Only
+    multisets whose costs total at most 4g - 4 are tried, which the
+    identity allows; the complex, not the total, decides the genus.
+    """
+    pool = _reference_words(g, genus, patterns)
+    costs = [w.p_count + len(w) - 4 for w in pool]
+    configs = []
+
+    def assemble(index, chosen, total):
         if chosen:
             cfg = make_configuration(chosen)
-            bad = check_configuration(cfg)
-            if bad:
-                tally(bad)
-            else:
-                configs.add(cfg)
-        if len(chosen) == budget.max_curves:
-            return
+            if not check_configuration(cfg):
+                v, e, f = glued_complex(cfg.words_plus, cfg.words_minus)
+                if v - e + f - cfg.p == 2 - 2 * genus and _connected(chosen):
+                    configs.append(cfg)
         for i in range(index, len(pool)):
-            if p_total + pool[i].p_count > budget.max_punctures:
-                break
-            assemble(i, chosen + [pool[i]], p_total + pool[i].p_count)
+            if total + costs[i] <= 4 * genus - 4:
+                assemble(i, chosen + [pool[i]], total + costs[i])
 
     assemble(0, [], 0)
-    return walk, EnumerationResult(tuple(sorted(configs)), diagnostics, guard.visited)
+    return pool, tuple(sorted(configs))
 
 
 GENUS2_SKELETONS = ("PPPP", "PSPS")
+# The reference walk has no start rule, so it is the slow side: at genus 3
+# it takes up to about 6 s a fixture, and about 30 s on k7_1, whose 14,231
+# words are the most.
 EQUIVALENCE_CASES = (
     [(name, 2, GENUS2_SKELETONS) for name in VALID_NAMES]
-    + [(name, 3, None) for name in ("hopf", "k3_1", "k4_1")]
+    + [(name, 2, None) for name in VALID_NAMES]
+    + [(name, 3, None) for name in VALID_NAMES]
     + [
         ("two_bridge_2_2", 2, None),
         ("pretzel_2_2", 2, None),
         ("two_bridge_3_1_2", 2, GENUS2_SKELETONS + ("PPPPPP", "PSPPSP")),
         ("pretzel_2_2_2", 2, GENUS2_SKELETONS + ("PPSPPS",)),
         ("pretzel_3_1_2", 2, GENUS2_SKELETONS + ("PPPPPP", "PSPSPS")),
+        ("two_bridge_2_2", 3, None),
+        ("pretzel_2_2_2", 3, None),
     ]
 )
 GENERATED = {
@@ -630,18 +669,19 @@ def _equivalence_dual(name):
 
 
 @pytest.mark.parametrize("name,genus,patterns", EQUIVALENCE_CASES,
-                         ids=[f"{n}-g{g}" for n, g, _ in EQUIVALENCE_CASES])
+                         ids=[f"{n}-g{g}" + ("-unrestricted" if g == 2 and p is None
+                                                 and n not in GENERATED else "")
+                              for n, g, p in EQUIVALENCE_CASES])
 def test_general_search_equals_check_word_reference(name, genus, patterns, monkeypatch):
     g = _equivalence_dual(name)
-    walk, expected = _reference_general(g, budgets(genus), patterns)
+    words, expected = _reference_general(g, genus, patterns)
 
     real_words = enumerators._general_words
-    seen = []
+    pools = []
 
-    def spying_words(graph, budget, rotations, guard, diagnostics):
-        words = real_words(graph, budget, rotations, guard, diagnostics)
-        seen.append((words, guard.visited, dict(diagnostics)))
-        return words
+    def spying_words(*args):
+        pools.append(real_words(*args))
+        return pools[-1]
 
     checked = []
 
@@ -652,10 +692,9 @@ def test_general_search_equals_check_word_reference(name, genus, patterns, monke
     monkeypatch.setattr(enumerators, "_general_words", spying_words)
     monkeypatch.setattr(enumerators, "check_word", counting_check_word)
     result = enumerate_general(g, budgets(genus), patterns=patterns)
-    assert seen == [walk]
-    assert result.configurations == expected.configurations
-    assert result.diagnostics == expected.diagnostics
-    assert result.visited == expected.visited
+    # the start rule and the walk cap lose no word, and the assembly no
+    # configuration; walk counts and tallies differ by design
+    assert pools == [words]
+    assert result.configurations == expected
     # the walk settles every word property by construction
     assert checked == []
-    assert not any(check_word(g, w) for w in walk[0])

@@ -56,7 +56,7 @@ def _cases() -> dict[str, list[str]]:
             "enumerate", "--patterns", "PPPP,PSPS", "--format", "json",
             str(fixture_path(name)),
         ]
-    for name in ("hopf", "k3_1"):
+    for name in ("hopf", "k3_1", "k4_1"):
         cases[f"genus3-{name}.json"] = [
             "enumerate", "--genus", "3", "--format", "json", str(fixture_path(name)),
         ]

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altcurves.dualgraph import SaddleChannel
+from altcurves.errors import PreconditionError
 from altcurves.words import (
     Configuration,
     CurveWord,
@@ -212,6 +213,22 @@ def test_check_word_flags_saddle_next_to_incident_arc():
     props = check_word(TREFOIL_DUAL, w)
     assert 6 in props
     assert 9 in props  # odd length
+
+
+def test_check_word_requires_a_closed_walk():
+    # 1 -P1-> 2 -P1-> 1 -P3-> 0 -P3-> 1 is a walk; each change below breaks
+    # it at one letter: a face off the letter's edge, the edge's faces in
+    # the wrong place, an arc or a channel the graph does not have
+    letters = (Letter("P", 1), Letter("P", 1), Letter("P", 3), Letter("P", 3))
+    check_word(TREFOIL_DUAL, CurveWord(letters, (1, 2, 1, 0)))
+    for bad_letters, faces, position in (
+        (letters, (1, 2, 1, 4), 2),
+        (letters, (2, 1, 1, 0), 1),
+        ((Letter("P", 99),) + letters[1:], (1, 2, 1, 0), 0),
+        (letters[:3] + (Letter("S", SaddleChannel(9, "A")),), (1, 2, 1, 0), 3),
+    ):
+        with pytest.raises(PreconditionError, match=f"position {position} "):
+            check_word(TREFOIL_DUAL, CurveWord(bad_letters, faces))
 
 
 def test_check_word_flags_single_block_and_odd_and_short():
