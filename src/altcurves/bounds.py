@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .enumerators import EnumerationResult
-from .tubing import configuration_tubing_count
+from .tubing import count_tubings
 
 __all__ = [
     "pppp_bound",
@@ -49,9 +49,10 @@ def genus2_surface_bound(n: int) -> int:
 def general_bound(n: int, genus: int) -> int:
     """Cap on genus-g configurations.
 
-    Multiplies the per-letter choices actually available along a maximal
-    word: (4n) to the power max_word_length * max_curves.  The paper's
-    looser headline form is c_g(genus) * n ** (40 g^2).
+    (4n) choices per letter, to the power (20g - 16)(2g - 2): 2g - 2 curves
+    of 20g - 16 letters, the search budget's word length before the genus-g
+    identity cut it to 4g - 2 (`budgets`), so the cap is far looser than it
+    need be.  The paper's looser headline form is c_g(genus) * n ** (40 g^2).
     """
     if genus < 2:
         raise ValueError(f"splitting surfaces start at genus 2, got {genus}")
@@ -81,13 +82,21 @@ class BoundReport:
 
 
 def compare(n: int, result: EnumerationResult) -> BoundReport:
-    """Check a genus-2 enumeration against every applicable cap."""
-    surfaces = sum(configuration_tubing_count(c) for c in result.configurations)
+    """Check a genus-2 enumeration against every applicable cap.
+
+    Surfaces are summed per family: a PPPP word is one circle with 4
+    punctures, binom(4, 2) = 6 tubings; a PSPS pair is two circles with 2
+    punctures each, 2^2 = 4.  Any other configuration raises ValueError, as
+    no genus-2 cap applies to it.
+    """
+    c = result.counts
+    if c["other"]:
+        raise ValueError(f"{c['other']} configurations outside the genus-2 families")
     counts = {
-        "pppp": result.counts["pppp"],
-        "psps_pair": result.counts["psps_pair"],
-        "configurations": result.counts["total"],
-        "surfaces": surfaces,
+        "pppp": c["pppp"],
+        "psps_pair": c["psps_pair"],
+        "configurations": c["total"],
+        "surfaces": count_tubings(2) * c["pppp"] + count_tubings(1) ** 2 * c["psps_pair"],
     }
     caps = {
         "pppp": pppp_bound(n),

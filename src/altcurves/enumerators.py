@@ -14,29 +14,27 @@ Three layers, kept deliberately separate:
   filters with the public checks only; the tests quotient its families pair
   by pair and compare them with the specialized results.
 
-Every walker reads one table, the graph's own: the steps leaving each
-face (`AugmentedDualGraph.steps`), which `build_dual` prepares once per
-diagram, each with its letter, destination face and the crossings it
-touches (`Step`).  The oracle reads only letters and destinations.  Only
-the general search reads follow lists (`_Follow`), the steps that may
-follow each step, each list built the first time it is read;
-`_adjacent_fault` alone decides properties 5 and 6 for them.  The genus-2
-walkers test their few junctions themselves, so a genus-2 row builds no
-follow list.  No walker but the oracle calls `check_word`: each builds
-only clean words.
+Every walker reads the graph's own step table (`AugmentedDualGraph.steps`);
+the oracle reads only letters and destinations.  Only the general search
+reads follow lists (`_Follow`), the steps that may follow each step, each
+built when first read; `_adjacent_fault` alone decides properties 5 and 6
+for them.  The genus-2 walkers test their few junctions themselves, so a
+genus-2 row builds no follow list.  No walker but the oracle calls
+`check_word`: each builds only clean words.
 
-* PPPP walks take three punctures from their least arc, skipping a second
-  arc not above the first and a third equal to the second, which is the
-  whole property-5 test between them.  The fourth is looked up by its two
-  faces, the third face and the first: no arc is a loop and no two arcs
-  join the same two faces, so there is at most one.  No arc repeats in a
-  walk, since a repeat would make an arc a loop or two arcs join the same
-  two faces, so the closing pairs pass 5; 9 holds by length.  A word's
-  least arc is unique, and it is walked in one direction only, the one
-  whose second letter is the smaller: that walk is the canonical word,
-  built as such.  On a prime diagram no two clean PPPP words share three
-  arcs, so "three punctures determine the fourth" needs no quotient.  A
-  closed walk ends at each face an even number of times, so a word's
+* PPPP walks compare arc numbers, not letters.  They take three punctures
+  from their least arc, skipping a second arc not above the first and a
+  third equal to the second, which is the whole property-5 test between
+  them.  The fourth step, back home, is looked up by its two faces, the
+  third face and the first: no arc is a loop and no two arcs join the same
+  two faces, so there is at most one.  No arc repeats in a walk, since a
+  repeat would make an arc a loop or two arcs join the same two faces, so
+  the closing pairs pass 5 and no word is a power (11); 9 holds by length.
+  A word's least arc is unique, and it is walked in one direction only,
+  the one whose second letter is the smaller: that walk is the canonical
+  word, built as such.  On a prime diagram no two clean PPPP words share
+  three arcs, so "three punctures determine the fourth" needs no quotient.
+  A closed walk ends at each face an even number of times, so a word's
   fourth arc joins the two faces its other three arcs end at an odd number
   of times.  Two distinct such fourth arcs form the 2-edge cut `validate`
   rejects.  Equal ones give the same arcs, which close up in one 4-cycle
@@ -54,14 +52,14 @@ only clean words.
   walks less the clean ones, each failing walk once, as `check_word`
   would.  Nothing else can fail: two punctures in two blocks (7, 8), length
   four (9), and saddles joining faces of opposite checkerboard colours, so
-  no channel twice (2).  Each channel set C keeps its least word, and each
-  unordered {C, flip(C)} across two crossings gives one pair.  Pairs share
-  a channel set exactly when they share {C, flip(C)}, so this is the least
-  pair of its class under "two saddles determine the pair".  It is
-  balanced (4) and has no adjacent saddles (3) by construction, so it
-  skips `check_configuration`.  On a (2,n) torus knot every face pair's
-  smaller side has at most two halves and no clean one, so the PSPS work
-  is linear in n.
+  no channel twice (2) and no power (11).  Each channel set C keeps its
+  least word, and each unordered {C, flip(C)} across two crossings gives
+  one pair.  Pairs share a channel set exactly when they share
+  {C, flip(C)}, so this is the least pair of its class under "two saddles
+  determine the pair".  It is balanced (4) and has no adjacent saddles (3)
+  by construction, so it skips `check_configuration`.  On a (2,n) torus
+  knot every face pair's smaller side has at most two halves and no clean
+  one, so the PSPS work is linear in n.
 * The general search is driven by the genus-g identity.  With w plus
   words, s plus saddles and p plus punctures, chi = 2w - s/2
   (`euler_crosscheck`), so chi - p = 2 - 2g says that the costs
@@ -83,22 +81,26 @@ only clean words.
   The walk prunes property 2 with a mask of used channels, and 5 and 6
   through the follow lists.  A walk closes only at an even length of at
   least 4 (9); there the closing pair is tested for 5 and 6, property 8 is
-  read from the puncture count and 7 from the P/S skeleton (saddles
-  present, at most one cyclic P-to-S block start).  Each property a closed
-  walk breaks is tallied once, as `check_word` tallies it, as is each
-  selection the assembly rejects.  Walks and selections keep their state
-  on explicit stacks, so no genus meets the recursion limit.
+  read from the puncture count, 7 from the P/S skeleton (saddles present,
+  at most one cyclic P-to-S block start) and 11 from the letters of an
+  all-puncture walk of at least 8 letters.  No other walk is a power: a
+  power with a saddle uses its channel twice (2), and in a walk that
+  survives the follow lists a period of 1, of 2 or an odd one would put
+  one arc twice in a row, as no two arcs join the same two faces.  Each
+  property a closed walk breaks is tallied once, as `check_word` tallies
+  it, as is each selection the assembly rejects.  Walks and selections
+  keep their state on explicit stacks, so no genus meets the recursion
+  limit.
 
-A configuration stores its plus sphere only; `Configuration` says why the
-minus sphere mirrors it.  Each word is canonical when it is generated: PPPP
-words are built so, the others canonicalized once.  `make_configuration`
-only sorts canonical words.  A word walked more than once is deduped
-through a set, and the natural order of words and configurations is the
-canonical order.
+A configuration stores its plus sphere only (`Configuration`).  Each word
+is canonical when it is generated: PPPP words are built so, the others
+canonicalized once and deduped through a set; `make_configuration` only
+sorts them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -111,6 +113,7 @@ from .words import (
     canonicalize,
     check_configuration,
     check_word,
+    is_proper_power,
     make_configuration,
     word_pattern,
 )
@@ -162,24 +165,29 @@ def budgets(genus: int) -> EnumerationBudget:
     )
 
 
+_FAMILIES = ("pppp", "psps_pair", "other")
+
+
 @dataclass(frozen=True)
 class EnumerationResult:
     """Configurations plus per-property rejection tallies and guard visits.
 
-    `counts` is derived from the configurations: one entry per family of
-    `classify_family`, plus "total".  `visited` counts the partial walks
-    the general search's guard saw; the other enumerators leave it 0.
+    `counts` has one entry per family of `classify_family`, plus "total".
+    The genus-2 enumerators pass `families`, known by construction; other
+    results (the general search's, the oracle's, one built by hand) classify
+    each configuration once, when `counts` is first read.  `visited` counts
+    the general search's partial walks, else 0.
     """
 
     configurations: tuple[Configuration, ...]
     diagnostics: dict[int, int]
     visited: int = 0
+    families: dict[str, int] | None = None
 
     @cached_property
     def counts(self) -> dict[str, int]:
-        counts = {"pppp": 0, "psps_pair": 0, "other": 0}
-        for cfg in self.configurations:
-            counts[classify_family(cfg)] += 1
+        counts = dict.fromkeys(_FAMILIES, 0)
+        counts.update(self.families or Counter(map(classify_family, self.configurations)))
         counts["total"] = len(self.configurations)
         return counts
 
@@ -218,13 +226,9 @@ def classify_family(cfg: Configuration) -> str:
     return "other"
 
 
-def _bump(diagnostics: dict[int, int], prop: int) -> None:
-    diagnostics[prop] = diagnostics.get(prop, 0) + 1
-
-
 def _tally(diagnostics: dict[int, int], props: set[int]) -> None:
     for prop in props:
-        _bump(diagnostics, prop)
+        diagnostics[prop] = diagnostics.get(prop, 0) + 1
 
 
 # ----------------------------------------------------------------------------
@@ -242,9 +246,7 @@ def _adjacent_fault(a: Step, b: Step) -> int | None:
 class _Follow(dict):
     """The steps that may follow each step, each list built when first read.
 
-    No step follows one it would break property 5 or 6 with.  Only the
-    general search reads follow lists; the genus-2 walkers test their few
-    junctions themselves.
+    No step follows one it would break property 5 or 6 with.
     """
 
     __slots__ = ("steps",)
@@ -264,38 +266,31 @@ class _Follow(dict):
 
 
 def enumerate_pppp(g: AugmentedDualGraph) -> EnumerationResult:
-    """All-puncture 4-letter curves, one configuration per clean word.
-
-    Each word is walked once, from its least arc in the direction of its
-    smaller second letter, and closed by looking up the arc joining its
-    third face to its first; that walk is its canonical form.  On a prime
-    diagram no two of these words share three arcs (module docstring).
-    """
+    """All-puncture 4-letter curves, one configuration per clean word (module docstring)."""
     punctures = {f: [m for m in out if m.kind == "P"] for f, out in g.steps.items()}
-    words = []  # (letters, faces), which sort as their words do
+    words = []  # (arcs, faces, letters), which sort as their words do
     for start, out in punctures.items():
-        # the arc back to `start` from each face next to it; there is at
-        # most one, since no two arcs join the same two faces of a prime
-        # diagram
-        home = {m.dest: m.letter for m in out}
+        home = {m.dest: m for m in out}  # the step back to `start` from each face
         for p1 in out:
-            l1 = p1.letter
+            a1 = p1.ref
             for p2 in punctures[p1.dest]:
-                l2 = p2.letter
-                if l2 <= l1:
+                a2 = p2.ref
+                if a2 <= a1:
                     continue  # not from the least arc, or property 5
                 for p3 in punctures[p2.dest]:
-                    l3 = p3.letter
-                    if l3 == l2 or l3 < l1:
+                    a3 = p3.ref
+                    if a3 == a2 or a3 < a1:
                         continue  # property 5, or not from the least arc
-                    l4 = home.get(p3.dest)
-                    # no arc repeats (module docstring), so l4 may follow l3,
-                    # and l1 may follow l4
-                    if l4 is not None and l2 < l4:
-                        words.append(((l1, l2, l3, l4), (start, p1.dest, p2.dest, p3.dest)))
+                    p4 = home.get(p3.dest)
+                    # no arc repeats (module docstring), so p4 may follow p3,
+                    # and p1 may follow p4
+                    if p4 is not None and a2 < p4.ref:
+                        words.append(((a1, a2, a3, p4.ref), (start, p1.dest, p2.dest, p3.dest),
+                                      (p1.letter, p2.letter, p3.letter, p4.letter)))
     words.sort()
     return EnumerationResult(
-        tuple([make_configuration([CurveWord(*w)]) for w in words]), {})
+        tuple([make_configuration([CurveWord(letters, faces)]) for _, faces, letters in words]),
+        {}, families={"pppp": len(words)})
 
 
 def _psps_words(g: AugmentedDualGraph, diagnostics: dict[int, int]) -> list[CurveWord]:
@@ -347,11 +342,7 @@ def enumerate_psps_pairs(g: AugmentedDualGraph) -> EnumerationResult:
     """Balanced pairs of PSPS curves through opposite channels of two crossings.
 
     A curve using the saddles of two distinct crossings forces its partner
-    through the flipped channels.  The words are joined from clean halves,
-    and the diagnostics tally every closed PSPS walk failing property 6 as
-    all closed walks less the clean ones.  Each channel set keeps its least
-    word, and each unordered {C, flip(C)} gives the pair of those least
-    words (module docstring).
+    through the flipped channels (module docstring).
     """
     diagnostics: dict[int, int] = {}
     least: dict[frozenset[SaddleChannel], CurveWord] = {}
@@ -363,19 +354,16 @@ def enumerate_psps_pairs(g: AugmentedDualGraph) -> EnumerationResult:
         w2 = least.get(frozenset(map(_flip, ch)))
         if w2 is not None and w1 < w2:
             pairs.append(make_configuration((w1, w2)))
-    return EnumerationResult(tuple(sorted(pairs)), diagnostics)
+    return EnumerationResult(tuple(sorted(pairs)), diagnostics, families={"psps_pair": len(pairs)})
 
 
 def enumerate_genus2(g: AugmentedDualGraph) -> EnumerationResult:
-    """Union of the two genus-2 families.
-
-    The count is not checked here: `bounds.compare` reports it against the
-    2n^3 cap.
-    """
-    pppp = enumerate_pppp(g)
-    psps = enumerate_psps_pairs(g)
+    """Union of the two genus-2 families; `bounds.compare` checks the count."""
+    pppp, psps = enumerate_pppp(g), enumerate_psps_pairs(g)
+    families = {key: pppp.counts[key] + psps.counts[key] for key in _FAMILIES}
     # PPPP words are built clean, so only the PSPS pairs tally rejections
-    return EnumerationResult(pppp.configurations + psps.configurations, psps.diagnostics)
+    return EnumerationResult(pppp.configurations + psps.configurations, psps.diagnostics,
+                             families=families)
 
 
 # ----------------------------------------------------------------------------
@@ -386,21 +374,21 @@ def enumerate_genus2(g: AugmentedDualGraph) -> EnumerationResult:
 def _pattern_rotations(patterns) -> set[str] | None:
     if patterns is None:
         return None
-    out: set[str] = set()
-    for pat in patterns:
-        for r in range(len(pat)):
-            out.add(pat[r:] + pat[:r])
-    return out
+    return {pat[r:] + pat[:r] for pat in patterns for r in range(len(pat))}
 
 
-def _closing_faults(first: Step, last: Step, p: int, kinds: str) -> set[int]:
+def _closing_faults(frame: tuple, start: int) -> set[int]:
     """The word properties a closed walk breaks (module docstring)."""
+    last, _, first, p, _, kinds = frame
     faults = set()
     fault = _adjacent_fault(last, first)
     if fault is not None:
         faults.add(fault)
-    if p < len(kinds) and (kinds + kinds[0]).count("PS") <= 1:
-        faults.add(7)
+    if p < len(kinds):
+        if (kinds + kinds[0]).count("PS") <= 1:
+            faults.add(7)
+    elif p >= 8 and is_proper_power(_frame_word(frame, start).letters):
+        faults.add(11)  # all punctures; no other walk is a power (module docstring)
     if p < 2:
         faults.add(8)
     return faults
@@ -434,9 +422,8 @@ def _general_words(
             length = len(kinds)
             if length >= 4 and length % 2 == 0 and last.dest == start \
                     and (rotations is None or kinds in rotations):
-                faults = _closing_faults(first, last, p, kinds)
-                for prop in faults:
-                    _bump(diagnostics, prop)
+                faults = _closing_faults(frame, start)
+                _tally(diagnostics, faults)
                 if not faults:
                     seen.add(canonicalize(_frame_word(frame, start)))
             if length == max_len:
@@ -493,14 +480,12 @@ def enumerate_general(
     patterns=None,
     guard_cap: int = DEFAULT_GUARD_CAP,
 ) -> EnumerationResult:
-    """Every connected genus-g configuration, g = `budget.genus`.
+    """Every connected genus-g configuration, g = `budget.genus` (module docstring).
 
-    A configuration is a multiset of clean words whose costs sum to exactly
-    4g - 4, balanced (property 4) and one component (10); see the module
-    docstring.  `patterns` optionally restricts the P/S skeletons (up to
-    rotation).  Search effort is capped by `guard_cap` visited partial
-    walks and selections; exceeding it raises GuardAbort.  A kept
-    configuration breaking chi - p = 2 - 2g raises EulerInconsistencyError.
+    `patterns` optionally restricts the P/S skeletons (up to rotation).
+    Past `guard_cap` visited partial walks and selections, GuardAbort is
+    raised.  A kept configuration breaking chi - p = 2 - 2g raises
+    EulerInconsistencyError.
     """
     genus = budget.genus
     guard = _Guard(guard_cap)
@@ -552,13 +537,9 @@ def enumerate_general(
 
 
 def oracle_enumerate(g: AugmentedDualGraph, max_len: int) -> EnumerationResult:
-    """Plain walk enumeration filtered by the public checks only.
+    """Every closed walk of length <= max_len, filtered by the public checks only.
 
-    Every closed walk of length <= max_len is generated letter by letter with
-    no determination rules and no budget pruning; surviving words form all
-    one- and two-word balanced configurations.  Kept deliberately independent
-    of the specialized enumerators so fixtures can confirm them: it reads
-    only each step's letter and destination.
+    Its clean words form every balanced configuration of one or two words.
     """
     if max_len > 8:
         raise TractabilityError(f"oracle supports max_len <= 8, got {max_len}")
@@ -571,9 +552,8 @@ def oracle_enumerate(g: AugmentedDualGraph, max_len: int) -> EnumerationResult:
         if letters and here == start:
             word = CurveWord(tuple(letters), tuple(faces[:-1]))
             bad = check_word(g, word)
-            if bad:
-                _tally(diagnostics, bad)
-            else:
+            _tally(diagnostics, bad)
+            if not bad:
                 words.add(canonicalize(word))
         if len(letters) == max_len:
             return

@@ -28,15 +28,17 @@ The executable constraints are numbered the way the count arguments use them:
  10  one connected surface: the configuration's words form one component
      when two words are joined wherever they share a saddle crossing (the
      general search's configurations only; `enumerators` says why)
+ 11  no word is a proper power u^k (k >= 2): a simple closed curve does not
+     run round another twice.  Only all-puncture words can be powers, as a
+     power with a saddle uses its channel twice (2)
 
 Property 1 (each curve bounds a disk) is a modeling assumption and has no
 check.
 
 `check_word` and `check_configuration` return the set of property numbers a
-word or configuration breaks, empty when it is clean.  The specialized and
-general enumerators build their words to pass these checks and never call
-`check_word`.  It is the brute-force oracle's filter, and the tests run it
-on what the enumerators emit.
+word or configuration breaks, empty when it is clean.  The enumerators build
+their words clean and never call `check_word`: it is the brute-force
+oracle's filter, and the tests run it on what the enumerators emit.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ __all__ = [
     "serialize_word",
     "check_word",
     "check_configuration",
+    "is_proper_power",
     "channel_counts",
     "make_configuration",
 ]
@@ -161,7 +164,15 @@ def check_word(g: AugmentedDualGraph, w: CurveWord) -> set[int]:
         broken.add(8)
     if len(letters) < 4 or len(letters) % 2:
         broken.add(9)
+    if is_proper_power(letters):
+        broken.add(11)
     return broken
+
+
+def is_proper_power(letters: tuple[Letter, ...]) -> bool:
+    """True when the letters repeat a shorter word, period d dividing the length."""
+    n = len(letters)
+    return any(letters[d:] == letters[:-d] for d in range(1, n // 2 + 1) if n % d == 0)
 
 
 @dataclass(frozen=True, order=True)

@@ -124,6 +124,9 @@ def _reference_props(tokens, incidence):
         props.add(8)
     if n < 4 or n % 2:
         props.add(9)
+    # a proper power equals one of its own nontrivial rotations
+    if any(tokens[d:] + tokens[:d] == tokens for d in range(1, n)):
+        props.add(11)
     return props
 
 
@@ -158,7 +161,7 @@ def test_word_predicates_match_independent_reimplementation():
             seen_props |= got
             cases += 1
     assert cases >= 10_000
-    assert seen_props >= {2, 5, 6, 7, 8, 9}
+    assert seen_props >= {2, 5, 6, 7, 8, 9, 11}
 
     # hand-built violators, one per property number
     trefoil = load_dual("k3_1")

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from altcurves import enumerators
+from altcurves import cli, enumerators
+from altcurves.bounds import compare
 from altcurves.diagram import build_diagram, parse_pd, validate
 from altcurves.dualgraph import SaddleChannel, build_dual
 from altcurves.enumerators import (
@@ -25,6 +26,7 @@ from altcurves.enumerators import (
 )
 from altcurves.errors import EulerInconsistencyError, GuardAbort, TractabilityError
 from altcurves.euler import euler_crosscheck
+from altcurves.tubing import configuration_tubing_count
 from altcurves.words import (
     CurveWord,
     Letter,
@@ -229,6 +231,36 @@ def test_genus3_configurations_are_connected_genus3_surfaces():
         assert len(cfg.words_plus) == 1
         v, e, f = glued_complex(cfg.words_plus, cfg.words_minus)
         assert v - e + f - cfg.p == euler_crosscheck(cfg) - cfg.p == 2 - 2 * 3
+
+
+def _is_power(w) -> bool:
+    """True when a word equals one of its own nontrivial rotations."""
+    tokens = serialize_word(w).split()
+    return any(tokens[d:] + tokens[:d] == tokens for d in range(1, len(tokens)))
+
+
+def test_genus4_drops_curves_that_run_round_a_pppp_word_twice():
+    # A simple closed curve spells no proper power (property 11).  Within
+    # the genus-4 walk cap p + length <= 16 the only clean walks that repeat
+    # themselves are the squares u u of the PPPP words u.  A period of a
+    # closed walk with saddles repeats a channel (2).  An all-puncture walk
+    # whose period is 1, 2 or odd puts one arc twice in a row (5), as no
+    # two arcs join the same two faces.  So a period has at least 4 letters,
+    # all punctures, and the cap leaves only u u, which costs
+    # 8 + 8 - 4 = 12 = 4g - 4 alone: one saddle-free word, balanced and
+    # connected.  hopf, k3_1 and k4_1 have 1, 3 and 5 PPPP words, so their
+    # 1, 6 and 19 genus-4 configurations before this property drop to 0, 3
+    # and 14.  A square is walked from its least letter once each way, and
+    # rotating by its period gives the same walk: two tallied walks a square.
+    for name, total in (("hopf", 0), ("k3_1", 3), ("k4_1", 14)):
+        g = load_dual(name)
+        pppp = [cfg.words_plus[0] for cfg in enumerate_pppp(g).configurations]
+        squares = {canonicalize(CurveWord(w.letters * 2, w.faces * 2)) for w in pppp}
+        assert all(_is_power(w) and check_word(g, w) == {11} for w in squares)
+        result = enumerate_general(g, budgets(4))
+        assert result.counts["total"] == total
+        assert result.diagnostics[11] == 2 * len(pppp)
+        assert not any(_is_power(w) for cfg in result.configurations for w in cfg.words_plus)
 
 
 def test_identity_breach_is_an_internal_fault(monkeypatch):
@@ -532,6 +564,56 @@ def test_genus2_fault_tests_grow_with_the_output(monkeypatch):
         assert tests == {("P", False): halves_tested}
         made[n] = sum(tests.values())
     assert made[41] <= 2.2 * made[21]
+
+
+def test_genus2_report_row_classifies_and_tubes_nothing(monkeypatch, tmp_path):
+    # A genus-2 row takes its family counts from the enumerators that built
+    # the configurations and sums its surfaces per family, so neither
+    # `classify_family` nor `configuration_tubing_count` runs on a single
+    # configuration.  Every module attribute bound to either is counted.
+    calls = Counter()
+    for fn in (classify_family, configuration_tubing_count):
+        def counting(cfg, fn=fn):
+            calls[fn.__name__] += 1
+            return fn(cfg)
+
+        for name, module in list(sys.modules.items()):
+            if name == "altcurves" or name.startswith("altcurves."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counting)
+    for n in (21, 41):
+        path = tmp_path / f"torus_2_{n}.pd"
+        path.write_text(relabel(two_bridge_pd([n]), random.Random(n)), encoding="utf-8")
+        calls.clear()
+        row, _ = cli._report_row(str(path))
+        assert (row["pppp"], row["psps_pair"], row["other"]) == (comb(n, 2), 0, 0)
+        assert row["surfaces"] == 6 * comb(n, 2)
+        assert row["bounds_ok"] is True
+        assert calls == {}
+
+
+def _family_count_duals():
+    """The fixtures, relabelled (2,n) torus knots up to n = 41, pretzels and K4 networks."""
+    texts = [_pretzel_pd(terms) for k in range(2, 5) for terms in product(range(1, 4), repeat=k)]
+    return ([load_dual(name) for name in VALID_NAMES] + [_torus_dual(n) for n in range(2, 42)]
+            + _valid_duals(texts, 10) + K4_DUALS)
+
+
+def test_family_counts_and_surfaces_equal_per_configuration_reference():
+    # the producers' family counts are what `classify_family` tallies, and
+    # `compare` sums surfaces per family exactly as the per-configuration
+    # tubing counts would
+    duals = _family_count_duals()
+    assert len(duals) >= 150
+    for g in duals:
+        for enumerate_ in (enumerate_pppp, enumerate_psps_pairs, enumerate_genus2):
+            result = enumerate_(g)
+            tally = Counter(classify_family(cfg) for cfg in result.configurations)
+            assert result.counts == {"pppp": tally["pppp"], "psps_pair": tally["psps_pair"],
+                                     "other": tally["other"], "total": len(result.configurations)}
+            surfaces = sum(configuration_tubing_count(cfg) for cfg in result.configurations)
+            assert compare(g.diagram.n, result).counts["surfaces"] == surfaces
 
 
 # ----------------------------------------------------------------------------
