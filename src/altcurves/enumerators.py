@@ -95,12 +95,16 @@ genus-2 row builds no follow list.  No walker but the oracle calls
 A configuration stores its plus sphere only (`Configuration`).  Each word
 is canonical when it is generated: PPPP words are built so, the others
 canonicalized once and deduped through a set; `make_configuration` only
-sorts them.
+sorts them.  The genus-2 enumerators count their rows (a PPPP word's arcs,
+faces and letters; a PSPS pair's words) and sort them into configurations
+only when those are first read (`EnumerationResult`), so a `report` or
+`bounds` row, which reads only the counts, builds none and no PPPP word.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -168,27 +172,38 @@ def budgets(genus: int) -> EnumerationBudget:
 _FAMILIES = ("pppp", "psps_pair", "other")
 
 
-@dataclass(frozen=True)
 class EnumerationResult:
     """Configurations plus per-property rejection tallies and guard visits.
 
-    `counts` has one entry per family of `classify_family`, plus "total".
-    The genus-2 enumerators pass `families`, known by construction; other
-    results (the general search's, the oracle's, one built by hand) classify
-    each configuration once, when `counts` is first read.  `visited` counts
-    the general search's partial walks, else 0.
+    `configurations` is a tuple, or a function the genus-2 enumerators pass
+    that builds it when first read, at most once.  `counts` has one entry
+    per family of `classify_family`, plus "total".  It comes from
+    `families` when given, as the genus-2 enumerators know theirs by
+    construction; other results (the general search's, the oracle's, one
+    built by hand) classify each configuration once, when `counts` is first
+    read.  `visited` counts the general search's partial walks, else 0.
     """
 
-    configurations: tuple[Configuration, ...]
-    diagnostics: dict[int, int]
-    visited: int = 0
-    families: dict[str, int] | None = None
+    def __init__(self, configurations: tuple[Configuration, ...] | Callable[[], tuple],
+                 diagnostics: dict[int, int], visited: int = 0,
+                 families: dict[str, int] | None = None):
+        if callable(configurations):
+            self._build = configurations
+        else:
+            self.configurations = configurations  # shadows the deferred build
+        self.diagnostics = diagnostics
+        self.visited = visited
+        self.families = families
+
+    @cached_property
+    def configurations(self) -> tuple[Configuration, ...]:
+        return self._build()
 
     @cached_property
     def counts(self) -> dict[str, int]:
         counts = dict.fromkeys(_FAMILIES, 0)
         counts.update(self.families or Counter(map(classify_family, self.configurations)))
-        counts["total"] = len(self.configurations)
+        counts["total"] = sum(counts.values())
         return counts
 
 
@@ -287,9 +302,9 @@ def enumerate_pppp(g: AugmentedDualGraph) -> EnumerationResult:
                     if p4 is not None and a2 < p4.ref:
                         words.append(((a1, a2, a3, p4.ref), (start, p1.dest, p2.dest, p3.dest),
                                       (p1.letter, p2.letter, p3.letter, p4.letter)))
-    words.sort()
     return EnumerationResult(
-        tuple([make_configuration([CurveWord(letters, faces)]) for _, faces, letters in words]),
+        lambda: tuple([make_configuration([CurveWord(letters, faces)])
+                       for _, faces, letters in sorted(words)]),
         {}, families={"pppp": len(words)})
 
 
@@ -305,12 +320,13 @@ def _psps_words(g: AugmentedDualGraph, diagnostics: dict[int, int]) -> list[Curv
             if s.kind == "S":
                 by_dest.setdefault(s.dest, []).append(s)
     halves: dict[tuple[int, int], list] = {}  # (from, to) -> [(puncture, saddles)]
+    counts: dict[tuple[int, int], int] = {}  # (from, to) -> halves
     for f, out in g.steps.items():
         for p in out:
             if p.kind == "P":
                 for mid, ss in saddles[p.dest].items():
                     halves.setdefault((f, mid), []).append((p, ss))
-    counts = {pair: sum(len(ss) for _, ss in hs) for pair, hs in halves.items()}
+                    counts[f, mid] = counts.get((f, mid), 0) + len(ss)
 
     def clean(pair: tuple[int, int]) -> list[tuple[Step, Step]]:
         return [(p, s) for p, ss in halves[pair] for s in ss
@@ -353,8 +369,9 @@ def enumerate_psps_pairs(g: AugmentedDualGraph) -> EnumerationResult:
     for ch, w1 in least.items():
         w2 = least.get(frozenset(map(_flip, ch)))
         if w2 is not None and w1 < w2:
-            pairs.append(make_configuration((w1, w2)))
-    return EnumerationResult(tuple(sorted(pairs)), diagnostics, families={"psps_pair": len(pairs)})
+            pairs.append((w1, w2))  # sorts as its configuration does
+    return EnumerationResult(lambda: tuple([make_configuration(p) for p in sorted(pairs)]),
+                             diagnostics, families={"psps_pair": len(pairs)})
 
 
 def enumerate_genus2(g: AugmentedDualGraph) -> EnumerationResult:
@@ -362,8 +379,8 @@ def enumerate_genus2(g: AugmentedDualGraph) -> EnumerationResult:
     pppp, psps = enumerate_pppp(g), enumerate_psps_pairs(g)
     families = {key: pppp.counts[key] + psps.counts[key] for key in _FAMILIES}
     # PPPP words are built clean, so only the PSPS pairs tally rejections
-    return EnumerationResult(pppp.configurations + psps.configurations, psps.diagnostics,
-                             families=families)
+    return EnumerationResult(lambda: pppp.configurations + psps.configurations,
+                             psps.diagnostics, families=families)
 
 
 # ----------------------------------------------------------------------------
@@ -377,21 +394,24 @@ def _pattern_rotations(patterns) -> set[str] | None:
     return {pat[r:] + pat[:r] for pat in patterns for r in range(len(pat))}
 
 
-def _closing_faults(frame: tuple, start: int) -> set[int]:
-    """The word properties a closed walk breaks (module docstring)."""
+def _closing_faults(frame: tuple, start: int) -> tuple[set[int], CurveWord | None]:
+    """The properties a closed walk breaks (module docstring), and its word
+    if the property-11 test spelled it, else None."""
     last, _, first, p, _, kinds = frame
-    faults = set()
+    faults, word = set(), None
     fault = _adjacent_fault(last, first)
     if fault is not None:
         faults.add(fault)
     if p < len(kinds):
         if (kinds + kinds[0]).count("PS") <= 1:
             faults.add(7)
-    elif p >= 8 and is_proper_power(_frame_word(frame, start).letters):
-        faults.add(11)  # all punctures; no other walk is a power (module docstring)
+    elif p >= 8:  # all punctures; no other walk is a power (module docstring)
+        word = _frame_word(frame, start)
+        if is_proper_power(word.letters):
+            faults.add(11)
     if p < 2:
         faults.add(8)
-    return faults
+    return faults, word
 
 
 def _general_words(
@@ -422,10 +442,10 @@ def _general_words(
             length = len(kinds)
             if length >= 4 and length % 2 == 0 and last.dest == start \
                     and (rotations is None or kinds in rotations):
-                faults = _closing_faults(frame, start)
+                faults, word = _closing_faults(frame, start)
                 _tally(diagnostics, faults)
                 if not faults:
-                    seen.add(canonicalize(_frame_word(frame, start)))
+                    seen.add(canonicalize(word or _frame_word(frame, start)))
             if length == max_len:
                 continue
             room = cap - length - 1  # for p after one more letter

@@ -216,7 +216,8 @@ def make_configuration(words) -> Configuration:
     """Configuration of canonical words, sorted.
 
     The words must already be canonical (`canonicalize`); they are not
-    canonicalized again.
+    canonicalized again.  The genus-2 enumerators call it only when their
+    configurations are first read (`EnumerationResult`).
     """
     return Configuration(tuple(sorted(words)))
 

@@ -28,6 +28,7 @@ from altcurves.errors import EulerInconsistencyError, GuardAbort, TractabilityEr
 from altcurves.euler import euler_crosscheck
 from altcurves.tubing import configuration_tubing_count
 from altcurves.words import (
+    Configuration,
     CurveWord,
     Letter,
     canonicalize,
@@ -261,6 +262,33 @@ def test_genus4_drops_curves_that_run_round_a_pppp_word_twice():
         assert result.counts["total"] == total
         assert result.diagnostics[11] == 2 * len(pppp)
         assert not any(_is_power(w) for cfg in result.configurations for w in cfg.words_plus)
+
+
+def test_closed_walks_are_spelled_once(monkeypatch):
+    # An all-puncture closed walk of 8 or more letters is spelled for the
+    # property-11 test, and a kept walk to be canonicalized; a walk that is
+    # both is spelled once.  k3_1 at genus 4 has 8 such walks among 22.
+    frame_word, closing_faults = enumerators._frame_word, enumerators._closing_faults
+    calls = Counter()
+
+    def counting_frame_word(frame, start):
+        calls["spelled"] += 1
+        return frame_word(frame, start)
+
+    def counting_closing_faults(frame, start):
+        faults, word = closing_faults(frame, start)
+        p, kinds = frame[3], frame[5]
+        tested, kept = p == len(kinds) >= 8, not faults
+        calls["walks"] += tested or kept
+        calls["both"] += tested and kept
+        return faults, word
+
+    monkeypatch.setattr(enumerators, "_frame_word", counting_frame_word)
+    monkeypatch.setattr(enumerators, "_closing_faults", counting_closing_faults)
+    result = enumerate_general(load_dual("k3_1"), budgets(4))
+    assert result.counts["total"] == 3
+    assert calls["both"] == 8
+    assert calls["spelled"] <= calls["walks"] == 22
 
 
 def test_identity_breach_is_an_internal_fault(monkeypatch):
@@ -566,31 +594,60 @@ def test_genus2_fault_tests_grow_with_the_output(monkeypatch):
     assert made[41] <= 2.2 * made[21]
 
 
-def test_genus2_report_row_classifies_and_tubes_nothing(monkeypatch, tmp_path):
-    # A genus-2 row takes its family counts from the enumerators that built
-    # the configurations and sums its surfaces per family, so neither
-    # `classify_family` nor `configuration_tubing_count` runs on a single
-    # configuration.  Every module attribute bound to either is counted.
+def _count_calls(monkeypatch, *fns) -> Counter:
+    """Calls of each of `fns` by name, through every altcurves module attribute bound to it."""
     calls = Counter()
-    for fn in (classify_family, configuration_tubing_count):
-        def counting(cfg, fn=fn):
+    for fn in fns:
+        def counting(*args, fn=fn, **kwargs):
             calls[fn.__name__] += 1
-            return fn(cfg)
+            return fn(*args, **kwargs)
 
         for name, module in list(sys.modules.items()):
             if name == "altcurves" or name.startswith("altcurves."):
                 for attr, value in list(vars(module).items()):
                     if value is fn:
                         monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def _torus_path(tmp_path, n) -> str:
+    path = tmp_path / f"torus_2_{n}.pd"
+    path.write_text(relabel(two_bridge_pd([n]), random.Random(n)), encoding="utf-8")
+    return str(path)
+
+
+def test_genus2_report_row_classifies_and_tubes_nothing(monkeypatch, tmp_path):
+    # A genus-2 row takes its family counts from the genus-2 enumerators
+    # and sums its surfaces per family, so neither
+    # `classify_family` nor `configuration_tubing_count` runs on a single
+    # configuration.  Every module attribute bound to either is counted.
+    calls = _count_calls(monkeypatch, classify_family, configuration_tubing_count)
     for n in (21, 41):
-        path = tmp_path / f"torus_2_{n}.pd"
-        path.write_text(relabel(two_bridge_pd([n]), random.Random(n)), encoding="utf-8")
+        path = _torus_path(tmp_path, n)
         calls.clear()
-        row, _ = cli._report_row(str(path))
+        row, _ = cli._report_row(path)
         assert (row["pppp"], row["psps_pair"], row["other"]) == (comb(n, 2), 0, 0)
         assert row["surfaces"] == 6 * comb(n, 2)
         assert row["bounds_ok"] is True
         assert calls == {}
+
+
+def test_genus2_rows_build_no_configuration(monkeypatch, tmp_path, capsys):
+    # `report` and `bounds` rows read only the genus-2 counts, so they build
+    # no word and no configuration; `enumerate --genus 2` reads the
+    # configurations and builds each exactly once.
+    calls = _count_calls(monkeypatch, CurveWord, Configuration, make_configuration)
+    for n in (21, 41):
+        path = _torus_path(tmp_path, n)
+        calls.clear()
+        row, _ = cli._report_row(path)
+        assert row["configurations"] == comb(n, 2)
+        assert cli.main(["bounds", path]) == 0
+        assert calls == {}
+        capsys.readouterr()
+        assert cli.main(["enumerate", path, "--genus", "2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == comb(n, 2) + 1
+        assert calls["Configuration"] == calls["make_configuration"] == comb(n, 2)
 
 
 def _family_count_duals():
@@ -614,6 +671,23 @@ def test_family_counts_and_surfaces_equal_per_configuration_reference():
                                      "other": tally["other"], "total": len(result.configurations)}
             surfaces = sum(configuration_tubing_count(cfg) for cfg in result.configurations)
             assert compare(g.diagram.n, result).counts["surfaces"] == surfaces
+
+
+def test_deferred_configurations_agree_with_counts_in_either_order():
+    # a genus-2 result builds its configurations when they are first read,
+    # once; its counts, read before or after, are what they classify as
+    for g in _family_count_duals():
+        for enumerate_ in (enumerate_pppp, enumerate_psps_pairs, enumerate_genus2):
+            counts_first, configurations_first = enumerate_(g), enumerate_(g)
+            counts = counts_first.counts
+            configs = counts_first.configurations
+            assert configurations_first.configurations == configs
+            assert configurations_first.counts == counts
+            tally = Counter(classify_family(cfg) for cfg in configs)
+            assert counts == {"pppp": tally["pppp"], "psps_pair": tally["psps_pair"],
+                              "other": tally["other"], "total": len(configs)}
+            for result in (counts_first, configurations_first):
+                assert result.configurations is result.configurations
 
 
 # ----------------------------------------------------------------------------
