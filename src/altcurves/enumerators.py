@@ -52,9 +52,11 @@ genus-2 row builds no follow list.  No walker but the oracle calls
   walks less the clean ones, each failing walk once, as `check_word`
   would.  Nothing else can fail: two punctures in two blocks (7, 8), length
   four (9), and saddles joining faces of opposite checkerboard colours, so
-  no channel twice (2) and no power (11).  Each channel set C keeps its
-  least word, and each unordered {C, flip(C)} across two crossings gives
-  one pair.  Pairs share a channel set exactly when they share
+  no channel twice (2) and no power (11).  A clean word is kept as its
+  canonical pair of tuples (letters, faces) (`canonical_form`), which
+  orders as its `CurveWord` does.  Each channel set C keeps its least
+  word, and each unordered {C, flip(C)} across two crossings gives one
+  pair.  Pairs share a channel set exactly when they share
   {C, flip(C)}, so this is the least pair of its class under "two saddles
   determine the pair".  It is balanced (4) and has no adjacent saddles (3)
   by construction, so it skips `check_configuration`.  On a (2,n) torus
@@ -63,13 +65,21 @@ genus-2 row builds no follow list.  No walker but the oracle calls
 * The general search is driven by the genus-g identity.  With w plus
   words, s plus saddles and p plus punctures, chi = 2w - s/2
   (`euler_crosscheck`), so chi - p = 2 - 2g says that the costs
-  p_w + length_w - 4 of the words sum to exactly 4g - 4.  A clean word has
-  at least 2 punctures (8) and 4 letters (9), so it costs at least 2.
-  Hence every partial word keeps p + length <= 4g (the walk cap); a walk
-  skips moves whose letter is below its first letter, since each cyclic
-  word, walked both ways, has a walk from a least letter (the start rule);
-  and a selection of pool words, by cost and with repetition, grows only
-  while its total is at most 4g - 4, and only a total of exactly 4g - 4 is
+  p_w + length_w - 4 = 2p_w + s_w - 4 of the words sum to exactly 4g - 4.
+  A clean word has at least 2 punctures (8) and 4 letters (9), so it costs
+  at least 2, and at least its saddle count.  Hence every partial word
+  keeps p + t <= 2g (the walk cap), t the crossings whose saddles it
+  passes.  A word uses a channel at most once (2), so if u of its t
+  crossings are passed through one channel only, s = 2t - u.  Balance (4)
+  needs one more saddle at each of those u crossings, in the other words,
+  which so cost at least u together: 2p + s + u = 2(p + t) <= 4g.  A
+  puncture adds 1 to p + t and a saddle 1 or 0, so it never falls as a
+  walk grows, and a partial word past the cap extends to no usable word.
+  As s <= 2t, the cap keeps p + length <= 4g too.  A walk skips moves
+  whose letter is below its first letter, since each cyclic word, walked
+  both ways, has a walk from a least letter (the start rule); and a
+  selection of pool words, by cost and with repetition, grows only while
+  its total is at most 4g - 4, and only a total of exactly 4g - 4 is
   checked, for balance (4) and then for one component (10).  Components
   come from a union-find joining words that share a saddle crossing: a
   word's plus and minus disks glue into one piece, and pieces meet only
@@ -79,11 +89,12 @@ genus-2 row builds no follow list.  No walker but the oracle calls
   A kept configuration with chi - p other than 2 - 2g is a defect
   (`EulerInconsistencyError`).
   The walk prunes property 2 with a mask of used channels, and 5 and 6
-  through the follow lists.  A walk closes only at an even length of at
-  least 4 (9); there the closing pair is tested for 5 and 6, property 8 is
-  read from the puncture count, 7 from the P/S skeleton (saddles present,
-  at most one cyclic P-to-S block start) and 11 from the letters of an
-  all-puncture walk of at least 8 letters.  No other walk is a power: a
+  through the follow lists; a saddle adds to t unless the mask holds its
+  crossing's other channel.  A walk closes only at an even length of at
+  least 4 (9); there the closing pair is tested for 5 and 6, property 8
+  is read from the P/S skeleton's punctures, 7 from the skeleton (saddles
+  present, at most one cyclic P-to-S block start) and 11 from the letters
+  of an all-puncture walk of at least 8 letters.  No other walk is a power: a
   power with a saddle uses its channel twice (2), and in a walk that
   survives the follow lists a period of 1, of 2 or an odd one would put
   one arc twice in a row, as no two arcs join the same two faces.  Each
@@ -96,9 +107,10 @@ A configuration stores its plus sphere only (`Configuration`).  Each word
 is canonical when it is generated: PPPP words are built so, the others
 canonicalized once and deduped through a set; `make_configuration` only
 sorts them.  The genus-2 enumerators count their rows (a PPPP word's arcs,
-faces and letters; a PSPS pair's words) and sort them into configurations
-only when those are first read (`EnumerationResult`), so a `report` or
-`bounds` row, which reads only the counts, builds none and no PPPP word.
+faces and letters; a PSPS pair's canonical tuples) and build them into
+words and configurations only when those are first read
+(`EnumerationResult`), so a `report` or `bounds` row, which reads only the
+counts, builds no word and no configuration.
 """
 
 from __future__ import annotations
@@ -114,6 +126,7 @@ from .euler import euler_crosscheck
 from .words import (
     Configuration,
     CurveWord,
+    canonical_form,
     canonicalize,
     check_configuration,
     check_word,
@@ -156,8 +169,9 @@ def budgets(genus: int) -> EnumerationBudget:
     """The genus-g search, with the limits every genus-g configuration meets.
 
     Word costs p_w + length_w - 4, each at least 2, sum to 4g - 4 (module
-    docstring): at most 2g - 2 words and 4g - 4 punctures, and, as p_w >= 2,
-    at most 4g - 2 letters a word.
+    docstring): at most 2g - 2 words and 4g - 4 punctures.  A word keeps
+    p + t <= 2g, t the crossings of its s saddles, and s <= 2t, so as
+    p >= 2 it has p + s <= 2(p + t) - p <= 4g - 2 letters.
     """
     if genus < 2:
         raise ValueError(f"splitting surfaces start at genus 2, got {genus}")
@@ -220,8 +234,8 @@ class _Guard:
             raise GuardAbort(self.visited, self.cap)
 
 
-def _channels(w: CurveWord) -> frozenset[SaddleChannel]:
-    return frozenset(l.ref for l in w.letters if l.kind == "S")
+def _channels(letters) -> frozenset[SaddleChannel]:
+    return frozenset(l.ref for l in letters if l.kind == "S")
 
 
 def _flip(ch: SaddleChannel) -> SaddleChannel:
@@ -235,7 +249,7 @@ def classify_family(cfg: Configuration) -> str:
     if len(cfg.words_plus) == 2:
         w1, w2 = cfg.words_plus
         if word_pattern(w1) == word_pattern(w2) == "PSPS":
-            ch1, ch2 = _channels(w1), _channels(w2)
+            ch1, ch2 = _channels(w1.letters), _channels(w2.letters)
             if len({c.crossing for c in ch1}) == 2 and ch2 == frozenset(map(_flip, ch1)):
                 return "psps_pair"
     return "other"
@@ -259,19 +273,28 @@ def _adjacent_fault(a: Step, b: Step) -> int | None:
 
 
 class _Follow(dict):
-    """The steps that may follow each step, each list built when first read.
+    """The moves that may follow each step, each list built when first read.
 
-    No step follows one it would break property 5 or 6 with.
+    A move is a step and its sibling bit: the used-channel bit of the other
+    channel at a saddle's crossing, 0 for a puncture.  No step follows one
+    it would break property 5 or 6 with.
     """
 
-    __slots__ = ("steps",)
+    __slots__ = ("steps", "sibling")
 
     def __init__(self, g: AugmentedDualGraph):
         self.steps = g.steps
+        bits = {n.ref: n.bit for out in g.steps.values() for n in out if n.kind == "S"}
+        self.sibling = {ch: bits[_flip(ch)] for ch in bits}
+
+    def moves(self, steps) -> tuple:
+        """The moves over `steps`, in their order."""
+        sibling = self.sibling
+        # from a list, not a generator (see `_frame_word`)
+        return tuple([(n, sibling[n.ref] if n.kind == "S" else 0) for n in steps])
 
     def __missing__(self, m: Step) -> tuple:
-        # from a list, not a generator (see `_frame_word`)
-        out = self[m] = tuple([n for n in self.steps[m.dest] if _adjacent_fault(m, n) is None])
+        out = self[m] = self.moves([n for n in self.steps[m.dest] if _adjacent_fault(m, n) is None])
         return out
 
 
@@ -308,11 +331,12 @@ def enumerate_pppp(g: AugmentedDualGraph) -> EnumerationResult:
         {}, families={"pppp": len(words)})
 
 
-def _psps_words(g: AugmentedDualGraph, diagnostics: dict[int, int]) -> list[CurveWord]:
+def _psps_words(g: AugmentedDualGraph, diagnostics: dict[int, int]) -> list[tuple]:
     # Closed walks are counted from the halves of each face pair, indexed by
     # their punctures; clean halves are built from a pair's smaller side
     # first and joined, and the walks failing property 6 are the difference
-    # (module docstring).
+    # (module docstring).  Each clean word is kept as its canonical
+    # (letters, faces), which sort as its `CurveWord` would.
     saddles: dict[int, dict[int, list[Step]]] = {}  # by face, then destination
     for f, out in g.steps.items():
         by_dest = saddles[f] = {}
@@ -333,7 +357,7 @@ def _psps_words(g: AugmentedDualGraph, diagnostics: dict[int, int]) -> list[Curv
                 if p.touches.isdisjoint(s.touches)]
 
     walks = passed = 0
-    seen: set[CurveWord] = set()
+    seen: set[tuple] = set()
     for (f, mid), k in counts.items():
         back = counts.get((mid, f), 0)
         walks += k * back
@@ -346,9 +370,8 @@ def _psps_words(g: AugmentedDualGraph, diagnostics: dict[int, int]) -> list[Curv
             for p1, s1 in firsts:
                 if s1.touches.isdisjoint(p2.touches) and s2.touches.isdisjoint(p1.touches):
                     passed += 2  # the walk from f, and its rotation from mid
-                    word = CurveWord((p1.letter, s1.letter, p2.letter, s2.letter),
-                                     (f, p1.dest, mid, p2.dest))
-                    seen.add(canonicalize(word))
+                    seen.add(canonical_form((p1.letter, s1.letter, p2.letter, s2.letter),
+                                            (f, p1.dest, mid, p2.dest)))
     if walks > passed:
         diagnostics[6] = diagnostics.get(6, 0) + walks - passed
     return sorted(seen)
@@ -361,17 +384,19 @@ def enumerate_psps_pairs(g: AugmentedDualGraph) -> EnumerationResult:
     through the flipped channels (module docstring).
     """
     diagnostics: dict[int, int] = {}
-    least: dict[frozenset[SaddleChannel], CurveWord] = {}
-    for w in _psps_words(g, diagnostics):
-        least.setdefault(_channels(w), w)
+    least: dict[frozenset[SaddleChannel], tuple] = {}
+    for letters, faces in _psps_words(g, diagnostics):
+        least.setdefault(_channels(letters), (letters, faces))
     # a channel set at one crossing is its own flip, so it pairs with nothing
     pairs = []
     for ch, w1 in least.items():
         w2 = least.get(frozenset(map(_flip, ch)))
         if w2 is not None and w1 < w2:
             pairs.append((w1, w2))  # sorts as its configuration does
-    return EnumerationResult(lambda: tuple([make_configuration(p) for p in sorted(pairs)]),
-                             diagnostics, families={"psps_pair": len(pairs)})
+    return EnumerationResult(
+        lambda: tuple([make_configuration([CurveWord(*w1), CurveWord(*w2)])
+                       for w1, w2 in sorted(pairs)]),
+        diagnostics, families={"psps_pair": len(pairs)})
 
 
 def enumerate_genus2(g: AugmentedDualGraph) -> EnumerationResult:
@@ -397,7 +422,8 @@ def _pattern_rotations(patterns) -> set[str] | None:
 def _closing_faults(frame: tuple, start: int) -> tuple[set[int], CurveWord | None]:
     """The properties a closed walk breaks (module docstring), and its word
     if the property-11 test spelled it, else None."""
-    last, _, first, p, _, kinds = frame
+    last, _, first, _, _, kinds = frame
+    p = kinds.count("P")
     faults, word = set(), None
     fault = _adjacent_fault(last, first)
     if fault is not None:
@@ -421,23 +447,23 @@ def _general_words(
     guard: _Guard,
     diagnostics: dict[int, int],
 ) -> list[CurveWord]:
-    cap = 4 * genus  # on p + length of every partial word (module docstring)
+    cap = 2 * genus  # on p + t of every partial word (module docstring)
     max_len = prefixes = None
     if rotations is not None:
         max_len = max(len(p) for p in rotations)
         prefixes = {r[:i] for r in rotations for i in range(1, len(r) + 1)}
-    steps = g.steps
     follow = _Follow(g)
     seen: set[CurveWord] = set()
 
     for start in g.nodes:
         # A frame is a partial walk: its last step, the frame before it, its
-        # first step, its punctures, its used-channel mask and its P/S
-        # skeleton.  The root frame is the empty walk at `start`.
+        # first step, its p + t, its used-channel mask and its P/S skeleton.
+        # The root frame is the empty walk at `start`.
         stack = [(None, None, None, 0, 0, "")]
+        firsts = follow.moves(g.steps[start])
         while stack:
             frame = stack.pop()
-            last, _, first, p, used, kinds = frame
+            last, _, first, pt, used, kinds = frame
             guard.tick()
             length = len(kinds)
             if length >= 4 and length % 2 == 0 and last.dest == start \
@@ -448,16 +474,18 @@ def _general_words(
                     seen.add(canonicalize(word or _frame_word(frame, start)))
             if length == max_len:
                 continue
-            room = cap - length - 1  # for p after one more letter
-            for m in steps[start] if last is None else follow[last]:
-                if used & m.bit or p + m.punctures > room:
-                    continue  # property 2, or the walk cap
+            for m, sibling in firsts if last is None else follow[last]:
+                if used & m.bit:
+                    continue  # property 2
+                grown = pt if used & sibling else pt + 1  # 0 at a touched crossing
+                if grown > cap:
+                    continue  # the walk cap
                 if first is not None and m.letter < first.letter:
                     continue  # the walk from a least letter finds this word
                 skeleton = kinds + m.kind
                 if prefixes is not None and skeleton not in prefixes:
                     continue
-                stack.append((m, frame, first or m, p + m.punctures, used | m.bit, skeleton))
+                stack.append((m, frame, first or m, grown, used | m.bit, skeleton))
     return sorted(seen)
 
 

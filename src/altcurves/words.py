@@ -53,6 +53,7 @@ __all__ = [
     "Letter",
     "CurveWord",
     "Configuration",
+    "canonical_form",
     "canonicalize",
     "word_pattern",
     "serialize_word",
@@ -100,24 +101,29 @@ class CurveWord:
         return CurveWord(letters, faces)
 
 
-def canonicalize(w: CurveWord) -> CurveWord:
-    """Least representative over all rotations of both directions.
+def canonical_form(letters: tuple[Letter, ...], faces: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """The least (letters, faces) over all rotations of both directions.
 
-    Rotations are compared as (letters, faces) tuples, the order of
-    `CurveWord`, and only the least one is built as a word.  A least
-    rotation starts at a least letter, so only those rotations are compared.
+    Rotations are compared as tuples, the order of `CurveWord`, so this is
+    `canonicalize` without building a word.  A least rotation starts at a
+    least letter, so only those rotations are compared.
     """
+    first = min(letters)
     best = None
-    for base in (w, w.reversed()):
-        letters, faces = base.letters, base.faces
-        first = min(letters)
-        for r in range(len(letters)):
-            if letters[r] != first:
+    # walked backwards, a word's trace starts from the same face (`reversed`)
+    for ls, fs in ((letters, faces), (letters[::-1], faces[:1] + faces[:0:-1])):
+        for r in range(len(ls)):
+            if ls[r] != first:
                 continue
-            key = (letters[r:] + letters[:r], faces[r:] + faces[:r])
+            key = (ls[r:] + ls[:r], fs[r:] + fs[:r])
             if best is None or key < best:
                 best = key
-    return CurveWord(*best)
+    return best
+
+
+def canonicalize(w: CurveWord) -> CurveWord:
+    """Least representative over all rotations of both directions (`canonical_form`)."""
+    return CurveWord(*canonical_form(w.letters, w.faces))
 
 
 def word_pattern(w: CurveWord) -> str:

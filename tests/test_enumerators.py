@@ -4,6 +4,7 @@ import inspect
 import random
 import sys
 from collections import Counter
+from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
@@ -208,7 +209,7 @@ def test_general_is_deterministic():
 
 
 def test_genus3_runs_on_trefoil():
-    # Within the genus-3 walk cap p + length <= 12 the trefoil's clean words
+    # Within the genus-3 walk cap p + t <= 6 the trefoil's clean words
     # are its three PPPP words, each of cost 4.  So the selections of cost
     # exactly 8 are the six pairs of them, repeats included.  They are
     # balanced (no saddles), but saddle-free words share no crossing, so
@@ -242,7 +243,7 @@ def _is_power(w) -> bool:
 
 def test_genus4_drops_curves_that_run_round_a_pppp_word_twice():
     # A simple closed curve spells no proper power (property 11).  Within
-    # the genus-4 walk cap p + length <= 16 the only clean walks that repeat
+    # the genus-4 walk cap p + t <= 8 the only clean walks that repeat
     # themselves are the squares u u of the PPPP words u.  A period of a
     # closed walk with saddles repeats a channel (2).  An all-puncture walk
     # whose period is 1, 2 or odd puts one arc twice in a row (5), as no
@@ -277,8 +278,8 @@ def test_closed_walks_are_spelled_once(monkeypatch):
 
     def counting_closing_faults(frame, start):
         faults, word = closing_faults(frame, start)
-        p, kinds = frame[3], frame[5]
-        tested, kept = p == len(kinds) >= 8, not faults
+        kinds = frame[5]
+        tested, kept = "S" not in kinds and len(kinds) >= 8, not faults
         calls["walks"] += tested or kept
         calls["both"] += tested and kept
         return faults, word
@@ -500,7 +501,7 @@ def test_psps_diagnostics_equal_check_word_tally(g, monkeypatch):
     assert {p: k for p, k in result.diagnostics.items() if p in word_props} == tally
     # PSPS generation builds only words that pass every word check
     assert checked == []
-    assert enumerators._psps_words(g, {}) == clean
+    assert [CurveWord(*w) for w in enumerators._psps_words(g, {})] == clean
 
 
 # ----------------------------------------------------------------------------
@@ -536,7 +537,7 @@ def test_psps_words_equal_check_word_reference(text, seed):
     g = build_dual(d)
     tally, clean = _psps_reference(g)
     diagnostics: dict[int, int] = {}
-    assert enumerators._psps_words(g, diagnostics) == clean
+    assert [CurveWord(*w) for w in enumerators._psps_words(g, diagnostics)] == clean
     assert diagnostics == tally
 
 
@@ -648,6 +649,22 @@ def test_genus2_rows_build_no_configuration(monkeypatch, tmp_path, capsys):
         assert cli.main(["enumerate", path, "--genus", "2"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == comb(n, 2) + 1
         assert calls["Configuration"] == calls["make_configuration"] == comb(n, 2)
+
+
+def test_genus2_counts_build_no_psps_word(monkeypatch):
+    # Clean PSPS joins are deduped and their channel sets' least words
+    # chosen on canonical (letters, faces) tuples, so reading the counts
+    # builds no word even where pairs exist; reading the configurations
+    # builds two words a pair.
+    calls = _count_calls(monkeypatch, CurveWord)
+    for g in K4_DUALS:
+        calls.clear()
+        result = enumerate_genus2(g)
+        pairs = result.counts["psps_pair"]
+        assert pairs
+        assert calls == {}
+        result.configurations
+        assert calls["CurveWord"] == result.counts["pppp"] + 2 * pairs
 
 
 def _family_count_duals():
@@ -824,13 +841,24 @@ def _equivalence_dual(name):
     return load_dual(name)
 
 
+@cache
+def _equivalence_reference(name, genus, patterns):
+    """The case's dual graph, and its reference words and configurations."""
+    g = _equivalence_dual(name)
+    return (g, *_reference_general(g, genus, patterns))
+
+
+def _walk_weight(w) -> int:
+    """p + t for a word: its punctures, and the crossings its saddles pass."""
+    return w.p_count + len({l.ref.crossing for l in w.letters if l.kind == "S"})
+
+
 @pytest.mark.parametrize("name,genus,patterns", EQUIVALENCE_CASES,
                          ids=[f"{n}-g{g}" + ("-unrestricted" if g == 2 and p is None
                                                  and n not in GENERATED else "")
                               for n, g, p in EQUIVALENCE_CASES])
 def test_general_search_equals_check_word_reference(name, genus, patterns, monkeypatch):
-    g = _equivalence_dual(name)
-    words, expected = _reference_general(g, genus, patterns)
+    g, words, expected = _equivalence_reference(name, genus, patterns)
 
     real_words = enumerators._general_words
     pools = []
@@ -848,9 +876,32 @@ def test_general_search_equals_check_word_reference(name, genus, patterns, monke
     monkeypatch.setattr(enumerators, "_general_words", spying_words)
     monkeypatch.setattr(enumerators, "check_word", counting_check_word)
     result = enumerate_general(g, budgets(genus), patterns=patterns)
-    # the start rule and the walk cap lose no word, and the assembly no
-    # configuration; walk counts and tallies differ by design
-    assert pools == [words]
+    # the start rule loses no word within the walk cap p + t <= 2g, and the
+    # cap and the assembly lose no configuration: those are what the
+    # reference assembles from all its words; walk counts and tallies
+    # differ by design
+    assert pools == [[w for w in words if _walk_weight(w) <= 2 * genus]]
     assert result.configurations == expected
     # the walk settles every word property by construction
     assert checked == []
+
+
+def test_walk_cap_drops_reference_words():
+    # The reference walk keeps p + length <= 4g, so the filter above is not
+    # vacuous: these cases hold words under that cap and past p + t <= 2g.
+    for name, genus in (("k6_2", 2), ("k4_1", 3)):
+        _, words, _ = _equivalence_reference(name, genus, None)
+        dropped = [w for w in words if _walk_weight(w) > 2 * genus]
+        assert dropped, name
+        assert all(w.p_count + len(w) <= 4 * genus for w in dropped)
+
+
+@pytest.mark.parametrize("name", ["k4_1", "borromean", "k7_4"])
+def test_walk_cap_is_attained(name):
+    # Every word of a kept configuration keeps p + t <= 2g, and some word
+    # reaches 2g, so a cap one lower would lose configurations.
+    g = load_dual(name)
+    for genus in (2, 3):
+        result = enumerate_general(g, budgets(genus))
+        weights = [_walk_weight(w) for cfg in result.configurations for w in cfg.words_plus]
+        assert max(weights) == 2 * genus, (name, genus)
