@@ -10,8 +10,7 @@ Exit codes: 0 success, 1 domain failure (invalid diagram, violated bound),
 2 input problem (unreadable file, parse error, bad arguments), 3 guard abort
 (`enumerate` only: the general search exceeded its visited-walk cap), 4
 internal fault (an emitted configuration whose Euler characteristic breaks
-its genus identity, or an exhaustive run outside its supported scale: a
-defect of the program, not of the input).
+its genus identity: a defect of the program, not of the input).
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .errors import (
     PdSyntaxError,
     PlanarityError,
     PreconditionError,
-    TractabilityError,
 )
 from .euler import euler_crosscheck
 from .render import render_diagram
@@ -397,7 +395,7 @@ def main(argv=None) -> int:
     except GuardAbort as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (EulerInconsistencyError, TractabilityError) as e:
+    except EulerInconsistencyError as e:
         print(f"error: internal fault: {e}", file=sys.stderr)
         return 4
     except (ValueError, OSError) as e:  # the input's: unreadable, unparsable, out of range

@@ -63,21 +63,23 @@ class Step:
     `dest` the face reached.  `touches` holds the crossings the letter meets:
     both ends of the arc for a puncture, the channel's crossing for a
     saddle.  `bit` marks a saddle's channel in a walk's used-channel mask,
-    1 << i for the i-th channel of `s_edges` (0 for a puncture), and
-    `punctures` is 1 for a puncture and 0 for a saddle.  The two steps over
+    1 << i for the i-th channel of `s_edges`, and `sibling` the other
+    channel at its crossing, 1 << (i ^ 1), as a crossing's channels A and B
+    are consecutive there; both are 0 for a puncture.  The two steps over
     one arc or channel share its letter and its `touches`.  Steps hash by
     identity, so a dict keyed by steps never hashes their fields.
     """
 
-    __slots__ = ("kind", "ref", "letter", "dest", "touches", "bit", "punctures")
+    __slots__ = ("kind", "ref", "letter", "dest", "touches", "bit", "sibling")
 
-    def __init__(self, letter: Letter, dest: int, touches: frozenset[int], bit: int):
+    def __init__(self, letter: Letter, dest: int, touches: frozenset[int], bit: int,
+                 sibling: int):
         self.kind, self.ref = letter
         self.letter = letter
         self.dest = dest
         self.touches = touches
         self.bit = bit
-        self.punctures = 1 if letter.kind == "P" else 0
+        self.sibling = sibling
 
 
 @dataclass(frozen=True)
@@ -131,17 +133,18 @@ def build_dual(d: Diagram) -> AugmentedDualGraph:
     nodes = tuple(f.id for f in d.faces)
     steps: dict[int, list[Step]] = {f: [] for f in nodes}
 
-    def add(letter: Letter, faces: tuple[int, int], touches: frozenset[int], bit: int):
+    def add(letter: Letter, faces: tuple[int, int], touches: frozenset[int], bit: int,
+            sibling: int):
         f1, f2 = faces
-        steps[f1].append(Step(letter, f2, touches, bit))
-        steps[f2].append(Step(letter, f1, touches, bit))
+        steps[f1].append(Step(letter, f2, touches, bit, sibling))
+        steps[f2].append(Step(letter, f1, touches, bit, sibling))
 
     # both tables are already in sorted ref order
     for arc, faces in p_edges.items():
         (c1, _), (c2, _) = d.arcs[arc]
-        add(Letter("P", arc), faces, frozenset((c1, c2)), 0)
+        add(Letter("P", arc), faces, frozenset((c1, c2)), 0, 0)
     for i, (ch, faces) in enumerate(s_edges.items()):
-        add(Letter("S", ch), faces, frozenset((ch.crossing,)), 1 << i)
+        add(Letter("S", ch), faces, frozenset((ch.crossing,)), 1 << i, 1 << (i ^ 1))
 
     frozen = {f: tuple(s) for f, s in steps.items()}
     return AugmentedDualGraph(d, nodes, p_edges, s_edges, frozen)

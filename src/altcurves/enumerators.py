@@ -16,11 +16,11 @@ Three layers, kept deliberately separate:
 
 Every walker reads the graph's own step table (`AugmentedDualGraph.steps`);
 the oracle reads only letters and destinations.  Only the general search
-reads follow lists (`_Follow`), the steps that may follow each step, each
-built when first read; `_adjacent_fault` alone decides properties 5 and 6
-for them.  The genus-2 walkers test their few junctions themselves, so a
-genus-2 row builds no follow list.  No walker but the oracle calls
-`check_word`: each builds only clean words.
+reads follow lists, the steps that may follow each step, built once per
+search; `_adjacent_fault` alone decides properties 5 and 6 for them.  The
+genus-2 walkers test their few junctions themselves, so a genus-2 row
+builds no follow list.  No walker but the oracle calls `check_word`: each
+builds only clean words.
 
 * PPPP walks compare arc numbers, not letters.  They take three punctures
   from their least arc, skipping a second arc not above the first and a
@@ -90,18 +90,18 @@ genus-2 row builds no follow list.  No walker but the oracle calls
   (`EulerInconsistencyError`).
   The walk prunes property 2 with a mask of used channels, and 5 and 6
   through the follow lists; a saddle adds to t unless the mask holds its
-  crossing's other channel.  A walk closes only at an even length of at
-  least 4 (9); there the closing pair is tested for 5 and 6, property 8
-  is read from the P/S skeleton's punctures, 7 from the skeleton (saddles
-  present, at most one cyclic P-to-S block start) and 11 from the letters
-  of an all-puncture walk of at least 8 letters.  No other walk is a power: a
-  power with a saddle uses its channel twice (2), and in a walk that
-  survives the follow lists a period of 1, of 2 or an odd one would put
-  one arc twice in a row, as no two arcs join the same two faces.  Each
-  property a closed walk breaks is tallied once, as `check_word` tallies
-  it, as is each selection the assembly rejects.  Walks and selections
-  keep their state on explicit stacks, so no genus meets the recursion
-  limit.
+  crossing's other channel (`Step.sibling`).  A walk closes only at an
+  even length of at least 4 (9); there the closing pair is tested for 5
+  and 6, property 8 is read from the P/S skeleton's punctures, 7 from the
+  skeleton (saddles present, at most one cyclic P-to-S block start) and 11
+  from the letters of an all-puncture walk of at least 8 letters.  No
+  other walk is a power: a power with a saddle uses its channel twice (2),
+  and in a walk that survives the follow lists a period of 1, of 2 or an
+  odd one would put one arc twice in a row, as no two arcs join the same
+  two faces.  Each property a closed walk breaks is tallied once, as
+  `check_word` tallies it, as is each selection the assembly rejects.
+  Walks and selections keep their state on explicit stacks, so no genus
+  meets the recursion limit.
 
 A configuration stores its plus sphere only (`Configuration`).  Each word
 is canonical when it is generated: PPPP words are built so, the others
@@ -261,44 +261,6 @@ def _tally(diagnostics: dict[int, int], props: set[int]) -> None:
 
 
 # ----------------------------------------------------------------------------
-# follow lists, read by the general search
-# ----------------------------------------------------------------------------
-
-
-def _adjacent_fault(a: Step, b: Step) -> int | None:
-    """The property (5 or 6) that letter `b` breaks right after `a`, if any."""
-    if a.kind != b.kind:
-        return None if a.touches.isdisjoint(b.touches) else 6
-    return 5 if a.kind == "P" and a.letter == b.letter else None
-
-
-class _Follow(dict):
-    """The moves that may follow each step, each list built when first read.
-
-    A move is a step and its sibling bit: the used-channel bit of the other
-    channel at a saddle's crossing, 0 for a puncture.  No step follows one
-    it would break property 5 or 6 with.
-    """
-
-    __slots__ = ("steps", "sibling")
-
-    def __init__(self, g: AugmentedDualGraph):
-        self.steps = g.steps
-        bits = {n.ref: n.bit for out in g.steps.values() for n in out if n.kind == "S"}
-        self.sibling = {ch: bits[_flip(ch)] for ch in bits}
-
-    def moves(self, steps) -> tuple:
-        """The moves over `steps`, in their order."""
-        sibling = self.sibling
-        # from a list, not a generator (see `_frame_word`)
-        return tuple([(n, sibling[n.ref] if n.kind == "S" else 0) for n in steps])
-
-    def __missing__(self, m: Step) -> tuple:
-        out = self[m] = self.moves([n for n in self.steps[m.dest] if _adjacent_fault(m, n) is None])
-        return out
-
-
-# ----------------------------------------------------------------------------
 # specialized genus-2 enumerators
 # ----------------------------------------------------------------------------
 
@@ -413,6 +375,13 @@ def enumerate_genus2(g: AugmentedDualGraph) -> EnumerationResult:
 # ----------------------------------------------------------------------------
 
 
+def _adjacent_fault(a: Step, b: Step) -> int | None:
+    """The property (5 or 6) that letter `b` breaks right after `a`, if any."""
+    if a.kind != b.kind:
+        return None if a.touches.isdisjoint(b.touches) else 6
+    return 5 if a.kind == "P" and a.letter == b.letter else None
+
+
 def _pattern_rotations(patterns) -> set[str] | None:
     if patterns is None:
         return None
@@ -452,7 +421,9 @@ def _general_words(
     if rotations is not None:
         max_len = max(len(p) for p in rotations)
         prefixes = {r[:i] for r in rotations for i in range(1, len(r) + 1)}
-    follow = _Follow(g)
+    # the steps that may follow each step: none that breaks 5 or 6 with it
+    follow = {m: [n for n in g.steps[m.dest] if _adjacent_fault(m, n) is None]
+              for out in g.steps.values() for m in out}
     seen: set[CurveWord] = set()
 
     for start in g.nodes:
@@ -460,7 +431,6 @@ def _general_words(
         # first step, its p + t, its used-channel mask and its P/S skeleton.
         # The root frame is the empty walk at `start`.
         stack = [(None, None, None, 0, 0, "")]
-        firsts = follow.moves(g.steps[start])
         while stack:
             frame = stack.pop()
             last, _, first, pt, used, kinds = frame
@@ -474,10 +444,10 @@ def _general_words(
                     seen.add(canonicalize(word or _frame_word(frame, start)))
             if length == max_len:
                 continue
-            for m, sibling in firsts if last is None else follow[last]:
+            for m in g.steps[start] if last is None else follow[last]:
                 if used & m.bit:
                     continue  # property 2
-                grown = pt if used & sibling else pt + 1  # 0 at a touched crossing
+                grown = pt if used & m.sibling else pt + 1  # 0 at a touched crossing
                 if grown > cap:
                     continue  # the walk cap
                 if first is not None and m.letter < first.letter:

@@ -17,6 +17,7 @@ from .words import Configuration, serialize_word
 
 __all__ = ["layout_positions", "render_diagram"]
 
+_RADIUS = 180.0  # of the circle the largest face's crossings are pinned on
 _PALETTE = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085")
 
 Point = tuple[float, float]
@@ -31,7 +32,7 @@ def _neighbor_multiset(d: Diagram) -> dict[int, list[int]]:
     return out
 
 
-def layout_positions(d: Diagram, radius: float = 180.0) -> dict[int, Point]:
+def layout_positions(d: Diagram) -> dict[int, Point]:
     """Circle-pinned barycentric layout of the crossings."""
     outer = max(d.faces, key=lambda f: (f.degree, -f.id))
     pinned: list[int] = []
@@ -42,7 +43,7 @@ def layout_positions(d: Diagram, radius: float = 180.0) -> dict[int, Point]:
     pos: dict[int, Point] = {}
     for i, c in enumerate(pinned):
         ang = 2 * math.pi * i / len(pinned) - math.pi / 2
-        pos[c] = (radius * math.cos(ang), radius * math.sin(ang))
+        pos[c] = (_RADIUS * math.cos(ang), _RADIUS * math.sin(ang))
 
     free = [c for c in d.crossing_ids if c not in pos]
     for c in free:

@@ -17,7 +17,11 @@ The executable constraints are numbered the way the count arguments use them:
 
   2  no channel is used twice by one curve
   3  no two consecutive saddles (the innermost rule; the genus-2 families
-     hold it by pattern, so nothing checks it at run time)
+     hold it by pattern, so nothing checks it at run time).  Open above
+     genus 2: the general search keeps words that break it, in 4 of the
+     142 connected genus-3 configurations of the fixtures (2 of k4_1's,
+     1 of k6_3's, 1 of k7_6's), and whether the rule binds there is not
+     settled
   4  at each crossing, equally many passages through the two channels
   5  no two cyclically consecutive punctures on the same arc
   6  no saddle passage cyclically adjacent to a puncture of an arc that ends
@@ -27,7 +31,10 @@ The executable constraints are numbered the way the count arguments use them:
   9  word length at least 4 and even
  10  one connected surface: the configuration's words form one component
      when two words are joined wherever they share a saddle crossing (the
-     general search's configurations only; `enumerators` says why)
+     general search's configurations only; `enumerators` says why).  Open:
+     saddles stacked at one crossing are joined whole, so 3 of borromean's
+     19 genus-3 configurations, two copies of each word of a genus-2
+     saddle pair, may be two parallel genus-2 surfaces instead
  11  no word is a proper power u^k (k >= 2): a simple closed curve does not
      run round another twice.  Only all-puncture words can be powers, as a
      power with a saddle uses its channel twice (2)

@@ -13,7 +13,7 @@ import altcurves
 from altcurves import cli, dualgraph, enumerators
 from altcurves.cli import CONFIG_COLUMNS, REPORT_COLUMNS, main
 from altcurves.enumerators import EnumerationResult
-from altcurves.errors import EulerInconsistencyError, TractabilityError
+from altcurves.errors import EulerInconsistencyError
 
 from conftest import FIXTURE_DIR, fixture_path
 
@@ -66,6 +66,15 @@ def test_validate_parse_error(tmp_path, capsys):
     bad.write_text('{"crossings": 5}\n')
     assert main(["validate", str(bad)]) == 2
     assert '"crossings" list' in capsys.readouterr().err
+
+
+def test_validate_non_sphere_diagram(tmp_path, capsys):
+    bad = tmp_path / "bad.pd"
+    bad.write_text("X 1 2 1 2\n")
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: component [1] has v-e+f")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_enumerate_text(capsys):
@@ -181,9 +190,7 @@ def test_deep_genus_trips_the_guard_without_a_traceback():
 @pytest.mark.parametrize("target,error,argv", [
     ("euler_crosscheck", EulerInconsistencyError("complex does not close up"),
      ["enumerate", TREFOIL]),
-    ("enumerate_genus2", TractabilityError("outside the supported scale"),
-     ["bounds", TREFOIL]),
-], ids=["euler", "tractability"])
+], ids=["euler"])
 def test_internal_faults_exit_4(target, error, argv, monkeypatch, capsys):
     def raiser(*args, **kwargs):
         raise error

@@ -14,7 +14,7 @@ from altcurves.diagram import (
     pd_text,
     validate,
 )
-from altcurves.errors import PdStructureError, PdSyntaxError
+from altcurves.errors import PdStructureError, PdSyntaxError, PlanarityError
 
 from conftest import (
     INVALID_NAMES,
@@ -74,6 +74,18 @@ def test_parse_rejects_bad_arc_multiplicity():
         parse_pd("X 1 2 3 4 / X 1 2 3 5")  # 4 and 5 occur once
     with pytest.raises(PdStructureError):
         parse_pd("X 1 1 1 2 / X 2 3 3 4 / X 4 5 5 6 / X 6 7 7 8")
+
+
+def test_build_rejects_rotation_data_off_the_sphere():
+    # one crossing whose two arcs are both loops, and two crossings joined
+    # by four arcs in the same rotation at each end: neither traces a sphere
+    for text, component in (("X 1 2 1 2", r"\[1\]"), ("X 1 2 3 4 / X 1 2 3 4", r"\[1, 2\]")):
+        with pytest.raises(PlanarityError, match=f"component {component} has"):
+            build_diagram(parse_pd(text))
+    # a trefoil beside such a crossing: the check names the bad component only
+    with pytest.raises(PlanarityError) as err:
+        build_diagram(parse_pd(TREFOIL + " / X 7 8 7 8"))
+    assert str(err.value).startswith("component [4] has")
 
 
 def test_trefoil_faces():

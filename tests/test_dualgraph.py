@@ -141,14 +141,15 @@ def test_step_table(name, text, monkeypatch):
     for arc in g.p_edges:
         step = by_ref[arc][0]
         assert step.touches == frozenset(g.arc_crossings(arc))
-        assert step.bit == 0
-        assert step.punctures == 1
+        assert step.bit == step.sibling == 0
     bits = set()
     for ch in g.s_edges:
         step = by_ref[ch][0]
         assert step.touches == {ch.crossing}
         assert step.bit > 0 and step.bit & (step.bit - 1) == 0
-        assert step.punctures == 0
+        # the bit of the other channel at the same crossing
+        other = SaddleChannel(ch.crossing, "B" if ch.side == "A" else "A")
+        assert step.sibling == by_ref[other][0].bit
         bits.add(step.bit)
     assert len(bits) == len(g.s_edges)
 
