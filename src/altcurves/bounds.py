@@ -50,9 +50,10 @@ def general_bound(n: int, genus: int) -> int:
     """Cap on genus-g configurations.
 
     (4n) choices per letter, to the power (20g - 16)(2g - 2): 2g - 2 curves
-    of 20g - 16 letters, the search budget's word length before the genus-g
-    identity cut it to 4g - 2 (`budgets`), so the cap is far looser than it
-    need be.  The paper's looser headline form is c_g(genus) * n ** (40 g^2).
+    of 20g - 16 letters each.  The genus-g identity (`enumerators` module
+    docstring) leaves a word at most 4g - 2 letters, so the cap is far
+    looser than it need be.  The paper's looser headline form is
+    c_g(genus) * n ** (40 g^2).
     """
     if genus < 2:
         raise ValueError(f"splitting surfaces start at genus 2, got {genus}")

@@ -1,8 +1,10 @@
 """Command line interface.
 
-Subcommands: validate (diagram hygiene), enumerate (curve configurations),
-bounds (counts against their polynomial caps), report (a corpus at a time,
-optionally in parallel and with rendered SVGs), render (one diagram to SVG).
+Subcommands: validate (diagram hygiene), enumerate (the curve configurations
+of one genus: the two genus-2 families, or above genus 2 the general search,
+which the genus alone shapes), bounds (counts against their polynomial
+caps), report (a corpus at a time, optionally in parallel and with rendered
+SVGs), render (one diagram to SVG).
 Every command hands its rows to one writer, `_write`, which emits them as
 JSON lines, CSV or text, as `--format` asks, to `--out` or to stdout.
 
@@ -137,27 +139,13 @@ def cmd_validate(args) -> int:
 # ----------------------------------------------------------------------------
 
 
-def _parse_patterns(raw: str | None):
-    if raw is None:
-        return None
-    patterns = []
-    for token in raw.split(","):
-        token = token.strip().upper()
-        if not token or set(token) - {"P", "S"}:
-            raise PdSyntaxError(f"patterns are words over P and S, got {token!r}")
-        patterns.append(token)
-    return tuple(patterns)
-
-
 def cmd_enumerate(args) -> int:
     d = _load(args.path)
-    patterns = _parse_patterns(args.patterns)
     dual = build_dual(d)
-    if args.genus == 2 and not patterns:
+    if args.genus == 2:
         result = enumerate_genus2(dual)
     else:
-        result = enumerate_general(dual, budgets(args.genus), patterns=patterns,
-                                   guard_cap=args.guard_cap)
+        result = enumerate_general(dual, budgets(args.genus), guard_cap=args.guard_cap)
     rows = [_config_row(cfg) for cfg in result.configurations]
     c = result.counts
 
@@ -353,12 +341,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="enumerate curve configurations")
     p_enum.add_argument("path", metavar="FILE.pd")
     p_enum.add_argument("--genus", type=int, default=2)
-    p_enum.add_argument("--patterns", default=None,
-                        help="comma-separated P/S skeletons, e.g. PPPP,PSPS")
     p_enum.add_argument("--guard-cap", type=_positive_int, default=DEFAULT_GUARD_CAP,
-                        help="partial walks the general search (genus above 2, "
-                             "or --patterns) may visit before it aborts with "
-                             "exit code 3 (default %(default)s)")
+                        help="partial walks the general search (genus above 2) "
+                             "may visit before it aborts with exit code 3 "
+                             "(default %(default)s)")
     _add_output(p_enum, "json", "csv")
     p_enum.set_defaults(func=cmd_enumerate)
 

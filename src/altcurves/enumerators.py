@@ -382,12 +382,6 @@ def _adjacent_fault(a: Step, b: Step) -> int | None:
     return 5 if a.kind == "P" and a.letter == b.letter else None
 
 
-def _pattern_rotations(patterns) -> set[str] | None:
-    if patterns is None:
-        return None
-    return {pat[r:] + pat[:r] for pat in patterns for r in range(len(pat))}
-
-
 def _closing_faults(frame: tuple, start: int) -> tuple[set[int], CurveWord | None]:
     """The properties a closed walk breaks (module docstring), and its word
     if the property-11 test spelled it, else None."""
@@ -412,15 +406,10 @@ def _closing_faults(frame: tuple, start: int) -> tuple[set[int], CurveWord | Non
 def _general_words(
     g: AugmentedDualGraph,
     genus: int,
-    rotations: set[str] | None,
     guard: _Guard,
     diagnostics: dict[int, int],
 ) -> list[CurveWord]:
     cap = 2 * genus  # on p + t of every partial word (module docstring)
-    max_len = prefixes = None
-    if rotations is not None:
-        max_len = max(len(p) for p in rotations)
-        prefixes = {r[:i] for r in rotations for i in range(1, len(r) + 1)}
     # the steps that may follow each step: none that breaks 5 or 6 with it
     follow = {m: [n for n in g.steps[m.dest] if _adjacent_fault(m, n) is None]
               for out in g.steps.values() for m in out}
@@ -436,14 +425,11 @@ def _general_words(
             last, _, first, pt, used, kinds = frame
             guard.tick()
             length = len(kinds)
-            if length >= 4 and length % 2 == 0 and last.dest == start \
-                    and (rotations is None or kinds in rotations):
+            if length >= 4 and length % 2 == 0 and last.dest == start:
                 faults, word = _closing_faults(frame, start)
                 _tally(diagnostics, faults)
                 if not faults:
                     seen.add(canonicalize(word or _frame_word(frame, start)))
-            if length == max_len:
-                continue
             for m in g.steps[start] if last is None else follow[last]:
                 if used & m.bit:
                     continue  # property 2
@@ -452,10 +438,7 @@ def _general_words(
                     continue  # the walk cap
                 if first is not None and m.letter < first.letter:
                     continue  # the walk from a least letter finds this word
-                skeleton = kinds + m.kind
-                if prefixes is not None and skeleton not in prefixes:
-                    continue
-                stack.append((m, frame, first or m, grown, used | m.bit, skeleton))
+                stack.append((m, frame, first or m, grown, used | m.bit, kinds + m.kind))
     return sorted(seen)
 
 
@@ -495,20 +478,19 @@ def _components(words) -> int:
 def enumerate_general(
     g: AugmentedDualGraph,
     budget: EnumerationBudget,
-    patterns=None,
     guard_cap: int = DEFAULT_GUARD_CAP,
 ) -> EnumerationResult:
     """Every connected genus-g configuration, g = `budget.genus` (module docstring).
 
-    `patterns` optionally restricts the P/S skeletons (up to rotation).
-    Past `guard_cap` visited partial walks and selections, GuardAbort is
-    raised.  A kept configuration breaking chi - p = 2 - 2g raises
+    The genus alone decides which words and selections are kept.  Past
+    `guard_cap` visited partial walks and selections, GuardAbort is raised.
+    A kept configuration breaking chi - p = 2 - 2g raises
     EulerInconsistencyError.
     """
     genus = budget.genus
     guard = _Guard(guard_cap)
     diagnostics: dict[int, int] = {}
-    pool = _general_words(g, genus, _pattern_rotations(patterns), guard, diagnostics)
+    pool = _general_words(g, genus, guard, diagnostics)
     # by cost, so a selection's next words can stop at the first that overshoots
     costs = sorted((len(w) + w.p_count - 4, w) for w in pool)
     pool = [w for _, w in costs]

@@ -15,7 +15,7 @@ import math
 from .diagram import Diagram
 from .words import Configuration, serialize_word
 
-__all__ = ["layout_positions", "render_diagram"]
+__all__ = ["render_diagram"]
 
 _RADIUS = 180.0  # of the circle the largest face's crossings are pinned on
 _PALETTE = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085")
@@ -32,7 +32,7 @@ def _neighbor_multiset(d: Diagram) -> dict[int, list[int]]:
     return out
 
 
-def layout_positions(d: Diagram) -> dict[int, Point]:
+def _layout_positions(d: Diagram) -> dict[int, Point]:
     """Circle-pinned barycentric layout of the crossings."""
     outer = max(d.faces, key=lambda f: (f.degree, -f.id))
     pinned: list[int] = []
@@ -182,7 +182,7 @@ def _overlay_points(word, curves, pos) -> list[Point]:
 def render_diagram(d: Diagram, cfg: Configuration | None = None,
                    title: str | None = None) -> str:
     """Render the diagram, plus the configuration's plus-sphere curves if given."""
-    pos = layout_positions(d)
+    pos = _layout_positions(d)
     curves = _arc_curves(d, pos)
 
     xs: list[float] = []

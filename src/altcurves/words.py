@@ -53,7 +53,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .dualgraph import AugmentedDualGraph, Letter, SaddleChannel
+from .dualgraph import AugmentedDualGraph, Letter
 from .errors import PreconditionError
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "check_word",
     "check_configuration",
     "is_proper_power",
-    "channel_counts",
     "make_configuration",
 ]
 
@@ -235,17 +234,13 @@ def make_configuration(words) -> Configuration:
     return Configuration(tuple(sorted(words)))
 
 
-def channel_counts(words) -> Counter[SaddleChannel]:
-    """Passages through each channel; a channel equals its (crossing, side)."""
-    return Counter(l.ref for w in words for l in w.letters if l.kind == "S")
-
-
 def check_configuration(cfg: Configuration) -> set[int]:
     """{4} if some crossing's two channels carry unequal passages, else empty.
 
     The two channels of a crossing carry one passage per saddle each.  The
     minus sphere mirrors the plus sphere, so one sphere is checked.
     """
-    counts = channel_counts(cfg.words_plus)
+    # passages through each channel; a channel equals its (crossing, side)
+    counts = Counter(l.ref for w in cfg.words_plus for l in w.letters if l.kind == "S")
     balanced = all(counts[(crossing, "A")] == counts[(crossing, "B")] for crossing, _ in counts)
     return set() if balanced else {4}

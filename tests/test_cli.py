@@ -141,17 +141,6 @@ def test_out_writes_what_stdout_gets(argv, tmp_path, capsys):
     assert capsys.readouterr().out == stdout
 
 
-def test_enumerate_patterns(capsys):
-    assert main(["enumerate", "--patterns", "pppp", BORROMEAN]) == 0
-    out = capsys.readouterr().out
-    assert "total=6 (pppp=6, psps_pair=0, other=0)" in out
-
-
-def test_enumerate_bad_pattern(capsys):
-    assert main(["enumerate", "--patterns", "PXQ", TREFOIL]) == 2
-    assert "words over P and S" in capsys.readouterr().err
-
-
 def test_enumerate_guard_flag(capsys):
     assert main(["enumerate", "--genus", "9", "--guard-cap", "2000", TREFOIL]) == 3
     assert "guard tripped" in capsys.readouterr().err
@@ -212,8 +201,7 @@ def test_report_jobs_below_one_rejected(capsys):
 CLI_SURFACE = {
     "": ["--help", "--version", "-h"],
     "validate": ["--format", "--help", "--out", "-h"],
-    "enumerate": ["--format", "--genus", "--guard-cap", "--help", "--out",
-                  "--patterns", "-h"],
+    "enumerate": ["--format", "--genus", "--guard-cap", "--help", "--out", "-h"],
     "bounds": ["--format", "--help", "--out", "-h"],
     "report": ["--format", "--help", "--jobs", "--out", "--render", "-h"],
     "render": ["--config", "--help", "--out", "-h"],

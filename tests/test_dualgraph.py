@@ -156,9 +156,11 @@ def test_step_table(name, text, monkeypatch):
     # the walkers read the graph's steps and make none of their own
     made[0] = 0
     assert enumerate_genus2(g).configurations
-    enumerate_general(g, budgets(2), patterns=("PPPP", "PSPS"))
-    # the oracle's cost is check_word on every closed walk, which grows fast past this
+    # the oracle's cost is check_word on every closed walk, and the general
+    # search's partial walks grow as about n^4 on a (2,n) torus knot (593,482
+    # at n = 21), so both run only up to this size
     if g.diagram.n <= 9:
+        enumerate_general(g, budgets(2))
         oracle_enumerate(g, 4)
     assert made[0] == 0
 

@@ -189,14 +189,6 @@ def test_general_matches_specialized_at_genus_two():
         assert general.counts == spec.counts
 
 
-def test_general_pattern_restriction():
-    g = load_dual("borromean")
-    only_pppp = enumerate_general(g, budgets(2), patterns=("PPPP",))
-    assert only_pppp.counts["pppp"] == 6
-    assert only_pppp.counts["psps_pair"] == 0
-    assert all(classify_family(c) == "pppp" for c in only_pppp.configurations)
-
-
 def test_general_is_deterministic():
     g = load_dual("k5_2")
     runs = [enumerate_general(g, budgets(2)) for _ in range(2)]
@@ -216,7 +208,7 @@ def test_genus3_runs_on_trefoil():
     # each pair is two spheres and no genus-3 surface is left.
     g = load_dual("k3_1")
     guard = enumerators._Guard(enumerators.DEFAULT_GUARD_CAP)
-    pool = enumerators._general_words(g, 3, None, guard, {})
+    pool = enumerators._general_words(g, 3, guard, {})
     assert [make_configuration([w]) for w in pool] == \
         list(enumerate_pppp(g).configurations)
     result = enumerate_general(g, budgets(3))
@@ -309,25 +301,27 @@ def test_guard_abort_carries_stats():
     assert "partial walks" in str(err.value)
 
 
-def test_assembly_depth_is_not_bounded_by_the_stack():
+def test_assembly_depth_is_not_bounded_by_the_stack(monkeypatch):
     # The assembly keeps selections on an explicit stack, so its depth
     # never meets the recursion limit, lowered here to keep the test short.
-    # The hopf link's one PPPP word costs 4, so at genus 402 the one
-    # selection of cost 4g - 4 = 1604 takes it 401 times; 401 copies of a
-    # saddle-free word are 401 spheres, rejected as disconnected.
+    # The pool is the hopf link's one PPPP word alone, which costs 4, so at
+    # genus 402 the one selection of cost 4g - 4 = 1604 takes it 401 times;
+    # 401 copies of a saddle-free word are 401 spheres, rejected as
+    # disconnected.
     g = load_dual("hopf")
+    (pppp,) = enumerate_pppp(g).configurations
+    monkeypatch.setattr(enumerators, "_general_words",
+                        lambda g, genus, guard, diagnostics: list(pppp.words_plus))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
-        result = enumerate_general(g, budgets(402), patterns=("PPPP",))
+        result = enumerate_general(g, budgets(402))
     finally:
         sys.setrecursionlimit(limit)
     assert result.configurations == ()
     assert result.diagnostics == {10: 1}
-    walk = enumerate_general(g, budgets(2), patterns=("PPPP",))
-    # the same walk at both genera, as patterns cap the length at 4; then the
-    # empty selection and one per number of copies, 1 to 401
-    assert result.visited == walk.visited - 2 + 1 + 401
+    # no walk ran: the empty selection, then one per number of copies, 1 to 401
+    assert result.visited == 1 + 401
 
 
 def test_budget_fields():
@@ -714,16 +708,13 @@ def test_deferred_configurations_agree_with_counts_in_either_order():
 # ----------------------------------------------------------------------------
 
 
-def _reference_words(g, genus, patterns):
+def _reference_words(g, genus):
     """Every clean word a genus-g configuration can use, from every start.
 
     No start rule: each closed walk whose cost p + length - 4 stays at most
     4g - 4, with that cap and properties 2, 5 and 6 pruned letter by letter,
     is filtered by `check_word`.  Recursive, so only for small genera.
     """
-    skeletons = None if patterns is None else \
-        {pat[i:] + pat[:i] for pat in patterns for i in range(len(pat))}
-    max_len = max(map(len, skeletons)) if skeletons else None
     ends = {arc: g.arc_crossings(arc) for arc in g.p_edges}
     seen = set()
     letters, faces = [], []
@@ -732,12 +723,9 @@ def _reference_words(g, genus, patterns):
         here = faces[-1]
         length = len(letters)
         if length and here == start and length >= 4 and length % 2 == 0:
-            if skeletons is None or "".join(l.kind for l in letters) in skeletons:
-                word = CurveWord(tuple(letters), tuple(faces[:-1]))
-                if not check_word(g, word):
-                    seen.add(canonicalize(word))
-        if length == max_len:
-            return
+            word = CurveWord(tuple(letters), tuple(faces[:-1]))
+            if not check_word(g, word):
+                seen.add(canonicalize(word))
         prev = letters[-1] if letters else None
         for step in g.steps_from(here):
             if p_used + (step.kind == "P") + length + 1 > 4 * genus:
@@ -780,16 +768,18 @@ def _connected(words) -> bool:
     return len(reached) == len(words)
 
 
-def _reference_general(g, genus, patterns):
+def _reference_general(g, genus):
     """The reference words, and the connected genus-g configurations of them.
 
     A multiset of words is kept when it is balanced (`check_configuration`),
     its glued complex has V - E + F - p = 2 - 2g and it is connected.  Only
     multisets whose costs total at most 4g - 4 are tried, which the
-    identity allows; the complex, not the total, decides the genus.
+    identity allows; the complex, not the total, decides the genus.  The
+    words are scanned by cost, so each scan stops at the first word that
+    would pass 4g - 4.
     """
-    pool = _reference_words(g, genus, patterns)
-    costs = [w.p_count + len(w) - 4 for w in pool]
+    pool = _reference_words(g, genus)
+    by_cost = sorted((w.p_count + len(w) - 4, w) for w in pool)
     configs = []
 
     def assemble(index, chosen, total):
@@ -799,30 +789,35 @@ def _reference_general(g, genus, patterns):
                 v, e, f = glued_complex(cfg.words_plus, cfg.words_minus)
                 if v - e + f - cfg.p == 2 - 2 * genus and _connected(chosen):
                     configs.append(cfg)
-        for i in range(index, len(pool)):
-            if total + costs[i] <= 4 * genus - 4:
-                assemble(i, chosen + [pool[i]], total + costs[i])
+        for i in range(index, len(by_cost)):
+            cost, word = by_cost[i]
+            if total + cost > 4 * genus - 4:
+                break  # every later word costs at least as much
+            assemble(i, chosen + [word], total + cost)
 
     assemble(0, [], 0)
     return pool, tuple(sorted(configs))
 
 
-GENUS2_SKELETONS = ("PPPP", "PSPS")
 # The reference walk has no start rule, so it is the slow side: at genus 3
 # it takes up to about 6 s a fixture, and about 30 s on k7_1, whose 14,231
-# words are the most.
+# words are the most.  Each case names the search it checks: "genus2" is
+# `enumerate_genus2`, the two genus-2 families that `enumerate --genus 2`
+# runs, and "general" is `enumerate_general`.  On a fixture at genus 2 both
+# run, against the same reference; the general search's id there ends in
+# "-unrestricted".
 EQUIVALENCE_CASES = (
-    [(name, 2, GENUS2_SKELETONS) for name in VALID_NAMES]
-    + [(name, 2, None) for name in VALID_NAMES]
-    + [(name, 3, None) for name in VALID_NAMES]
+    [(name, 2, "genus2") for name in VALID_NAMES]
+    + [(name, 2, "general") for name in VALID_NAMES]
+    + [(name, 3, "general") for name in VALID_NAMES]
     + [
-        ("two_bridge_2_2", 2, None),
-        ("pretzel_2_2", 2, None),
-        ("two_bridge_3_1_2", 2, GENUS2_SKELETONS + ("PPPPPP", "PSPPSP")),
-        ("pretzel_2_2_2", 2, GENUS2_SKELETONS + ("PPSPPS",)),
-        ("pretzel_3_1_2", 2, GENUS2_SKELETONS + ("PPPPPP", "PSPSPS")),
-        ("two_bridge_2_2", 3, None),
-        ("pretzel_2_2_2", 3, None),
+        ("two_bridge_2_2", 2, "general"),
+        ("pretzel_2_2", 2, "general"),
+        ("two_bridge_3_1_2", 2, "general"),
+        ("pretzel_2_2_2", 2, "general"),
+        ("pretzel_3_1_2", 2, "general"),
+        ("two_bridge_2_2", 3, "general"),
+        ("pretzel_2_2_2", 3, "general"),
     ]
 )
 GENERATED = {
@@ -842,10 +837,10 @@ def _equivalence_dual(name):
 
 
 @cache
-def _equivalence_reference(name, genus, patterns):
+def _equivalence_reference(name, genus):
     """The case's dual graph, and its reference words and configurations."""
     g = _equivalence_dual(name)
-    return (g, *_reference_general(g, genus, patterns))
+    return (g, *_reference_general(g, genus))
 
 
 def _walk_weight(w) -> int:
@@ -853,12 +848,12 @@ def _walk_weight(w) -> int:
     return w.p_count + len({l.ref.crossing for l in w.letters if l.kind == "S"})
 
 
-@pytest.mark.parametrize("name,genus,patterns", EQUIVALENCE_CASES,
-                         ids=[f"{n}-g{g}" + ("-unrestricted" if g == 2 and p is None
+@pytest.mark.parametrize("name,genus,search", EQUIVALENCE_CASES,
+                         ids=[f"{n}-g{g}" + ("-unrestricted" if g == 2 and s == "general"
                                                  and n not in GENERATED else "")
-                              for n, g, p in EQUIVALENCE_CASES])
-def test_general_search_equals_check_word_reference(name, genus, patterns, monkeypatch):
-    g, words, expected = _equivalence_reference(name, genus, patterns)
+                              for n, g, s in EQUIVALENCE_CASES])
+def test_general_search_equals_check_word_reference(name, genus, search, monkeypatch):
+    g, words, expected = _equivalence_reference(name, genus)
 
     real_words = enumerators._general_words
     pools = []
@@ -875,7 +870,15 @@ def test_general_search_equals_check_word_reference(name, genus, patterns, monke
 
     monkeypatch.setattr(enumerators, "_general_words", spying_words)
     monkeypatch.setattr(enumerators, "check_word", counting_check_word)
-    result = enumerate_general(g, budgets(genus), patterns=patterns)
+    if search == "genus2":
+        # the two families are built directly, with no general walk, and
+        # are every connected genus-2 configuration the reference assembles
+        result = enumerate_genus2(g)
+        assert pools == []
+        assert tuple(sorted(result.configurations)) == expected
+        assert checked == []
+        return
+    result = enumerate_general(g, budgets(genus))
     # the start rule loses no word within the walk cap p + t <= 2g, and the
     # cap and the assembly lose no configuration: those are what the
     # reference assembles from all its words; walk counts and tallies
@@ -890,7 +893,7 @@ def test_walk_cap_drops_reference_words():
     # The reference walk keeps p + length <= 4g, so the filter above is not
     # vacuous: these cases hold words under that cap and past p + t <= 2g.
     for name, genus in (("k6_2", 2), ("k4_1", 3)):
-        _, words, _ = _equivalence_reference(name, genus, None)
+        _, words, _ = _equivalence_reference(name, genus)
         dropped = [w for w in words if _walk_weight(w) > 2 * genus]
         assert dropped, name
         assert all(w.p_count + len(w) <= 4 * genus for w in dropped)

@@ -51,11 +51,6 @@ def _cases() -> dict[str, list[str]]:
         cases[f"enumerate-{name}.json"] = [
             "enumerate", "--genus", "2", "--format", "json", str(fixture_path(name)),
         ]
-        # the general search, restricted to the two genus-2 skeletons
-        cases[f"patterns-{name}.json"] = [
-            "enumerate", "--patterns", "PPPP,PSPS", "--format", "json",
-            str(fixture_path(name)),
-        ]
     for name in ("hopf", "k3_1", "k4_1"):
         cases[f"genus3-{name}.json"] = [
             "enumerate", "--genus", "3", "--format", "json", str(fixture_path(name)),
