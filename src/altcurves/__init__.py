@@ -23,7 +23,6 @@ from .diagram import (
     ValidationReport,
     build_diagram,
     parse_pd,
-    pd_text,
     validate,
 )
 from .dualgraph import AugmentedDualGraph, SaddleChannel, Step, build_dual
@@ -46,7 +45,6 @@ from .errors import (
     PdSyntaxError,
     PlanarityError,
     PreconditionError,
-    TractabilityError,
 )
 from .euler import euler_crosscheck
 from .render import render_diagram

@@ -72,7 +72,6 @@ def c_g(genus: int) -> int:
 class BoundReport:
     """Enumerated counts next to their caps, with one pass flag per cap."""
 
-    n: int
     counts: dict[str, int]
     bounds: dict[str, int]
     ok: dict[str, bool]
@@ -106,4 +105,4 @@ def compare(n: int, result: EnumerationResult) -> BoundReport:
         "surfaces": genus2_surface_bound(n),
     }
     ok = {key: counts[key] <= caps[key] for key in counts}
-    return BoundReport(n=n, counts=counts, bounds=caps, ok=ok)
+    return BoundReport(counts=counts, bounds=caps, ok=ok)

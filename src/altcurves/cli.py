@@ -290,7 +290,7 @@ def cmd_render(args) -> int:
     if args.config is not None:
         result = enumerate_genus2(build_dual(d))
         if not 0 <= args.config < len(result.configurations):
-            raise PdSyntaxError(
+            raise ValueError(
                 f"configuration index {args.config} out of range "
                 f"(diagram has {len(result.configurations)})"
             )

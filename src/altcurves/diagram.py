@@ -38,7 +38,6 @@ __all__ = [
     "parse_pd",
     "build_diagram",
     "validate",
-    "pd_text",
 ]
 
 End = tuple[int, int]  # (crossing id 1..n, slot 0..3)
@@ -53,10 +52,6 @@ class PdCode:
     @property
     def n(self) -> int:
         return len(self.crossings)
-
-    @property
-    def arc_count(self) -> int:
-        return 2 * len(self.crossings)
 
 
 @dataclass(frozen=True)
@@ -347,13 +342,3 @@ def _find_two_edge_cut(d: Diagram) -> tuple[int, int] | None:
     return min(((arcs[0], arcs[1]) for arcs in by_faces.values() if len(arcs) > 1),
                default=None)
 
-
-# ----------------------------------------------------------------------------
-# serialization
-# ----------------------------------------------------------------------------
-
-
-def pd_text(d: Diagram | PdCode) -> str:
-    """Render back to the line-per-crossing PD grammar."""
-    pd = d.pd if isinstance(d, Diagram) else d
-    return "\n".join("X " + " ".join(str(x) for x in row) for row in pd.crossings) + "\n"

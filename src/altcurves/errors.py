@@ -32,10 +32,6 @@ class EulerInconsistencyError(ValueError):
     """A configuration breaks the Euler identity its genus requires."""
 
 
-class TractabilityError(ValueError):
-    """A requested exhaustive run is outside the supported desk scale."""
-
-
 class GuardAbort(RuntimeError):
     """Enumeration exceeded the visited-walk cap; partial results are unreliable.
 

@@ -20,7 +20,6 @@ from altcurves.bounds import (
 from altcurves.cli import main
 from altcurves.dualgraph import SaddleChannel
 from altcurves.enumerators import (
-    budgets,
     classify_family,
     enumerate_genus2,
     oracle_enumerate,
@@ -43,10 +42,6 @@ from conftest import (FIXTURE_DIR, VALID_NAMES, PunctureCircle, TubingPlan, arc_
 
 
 def test_exact_formula_values():
-    b2, b3 = budgets(2), budgets(3)
-    # 4g - 4 punctures, 2g - 2 curves, 4g - 2 letters a word: the identity's limits
-    assert (b2.max_punctures, b2.max_curves, b2.max_word_length) == (4, 2, 6)
-    assert (b3.max_punctures, b3.max_curves, b3.max_word_length) == (8, 4, 10)
     assert genus2_config_bound(3) == 54
     assert genus2_surface_bound(3) == 324
     assert count_tubings(2) == 6

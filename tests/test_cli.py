@@ -13,7 +13,7 @@ import altcurves
 from altcurves import cli, dualgraph, enumerators
 from altcurves.cli import CONFIG_COLUMNS, REPORT_COLUMNS, main
 from altcurves.enumerators import EnumerationResult
-from altcurves.errors import EulerInconsistencyError
+from altcurves.errors import EulerInconsistencyError, PdSyntaxError
 
 from conftest import FIXTURE_DIR, fixture_path
 
@@ -401,3 +401,10 @@ def test_render_with_configuration(tmp_path, capsys):
 def test_render_config_out_of_range(capsys):
     assert main(["render", "--config", "99", TREFOIL]) == 2
     assert "out of range" in capsys.readouterr().err
+
+
+def test_render_config_out_of_range_is_a_bad_argument_not_bad_pd():
+    args = cli._build_parser().parse_args(["render", "--config", "99", TREFOIL])
+    with pytest.raises(ValueError, match="out of range") as error:
+        cli.cmd_render(args)
+    assert not isinstance(error.value, PdSyntaxError)

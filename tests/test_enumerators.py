@@ -23,9 +23,8 @@ from altcurves.enumerators import (
     enumerate_genus2,
     enumerate_pppp,
     enumerate_psps_pairs,
-    oracle_enumerate,
 )
-from altcurves.errors import EulerInconsistencyError, GuardAbort, TractabilityError
+from altcurves.errors import EulerInconsistencyError, GuardAbort
 from altcurves.euler import euler_crosscheck
 from altcurves.tubing import configuration_tubing_count
 from altcurves.words import (
@@ -324,42 +323,9 @@ def test_assembly_depth_is_not_bounded_by_the_stack(monkeypatch):
     assert result.visited == 1 + 401
 
 
-def test_budget_fields():
-    # exactly what the genus-g identity implies (enumerators module docstring)
-    for genus in range(2, 7):
-        b = budgets(genus)
-        assert (b.genus, b.max_punctures, b.max_curves, b.max_word_length) == \
-            (genus, 4 * genus - 4, 2 * genus - 2, 4 * genus - 2)
-
-
 def test_budgets_start_at_genus_two():
     with pytest.raises(ValueError, match="genus 2"):
         budgets(1)
-
-
-def test_oracle_rejects_deep_scans():
-    with pytest.raises(TractabilityError):
-        oracle_enumerate(load_dual("k3_1"), 9)
-
-
-def test_oracle_agreement_on_small_fixtures():
-    for name in ("k3_1", "hopf", "borromean"):
-        g = load_dual(name)
-        oracle = oracle_enumerate(g, 4)
-        spec = enumerate_genus2(g)
-        o_pppp = [c.words_plus[0] for c in oracle.configurations
-                  if classify_family(c) == "pppp"]
-        o_pairs = [tuple(c.words_plus) for c in oracle.configurations
-                   if classify_family(c) == "psps_pair"]
-        reps_p = sorted(serialize_word(w) for w in pairwise_puncture_reps(o_pppp))
-        reps_s = sorted(tuple(map(serialize_word, p)) for p in pairwise_saddle_reps(o_pairs))
-        s_p = sorted(serialize_word(c.words_plus[0]) for c in spec.configurations
-                     if classify_family(c) == "pppp")
-        s_s = sorted(tuple(map(serialize_word, c.words_plus))
-                     for c in spec.configurations
-                     if classify_family(c) == "psps_pair")
-        assert reps_p == s_p, name
-        assert reps_s == s_s, name
 
 
 # ----------------------------------------------------------------------------
@@ -908,3 +874,22 @@ def test_walk_cap_is_attained(name):
         result = enumerate_general(g, budgets(genus))
         weights = [_walk_weight(w) for cfg in result.configurations for w in cfg.words_plus]
         assert max(weights) == 2 * genus, (name, genus)
+
+
+def test_kept_configurations_meet_the_identity_limits():
+    # Word costs p_w + length_w - 4, each at least 2, sum to 4g - 4, so a
+    # configuration has at most 2g - 2 words and 4g - 4 punctures.  The walk
+    # cap keeps p + length <= 4g and p >= 2, so a word has at most 4g - 2
+    # letters (enumerators module docstring).
+    cases = [(name, genus) for genus in (2, 3) for name in VALID_NAMES]
+    cases += [(name, 4) for name in VALID_NAMES if load_dual(name).diagram.n <= 6]
+    for name, genus in cases:
+        result = enumerate_general(load_dual(name), budgets(genus))
+        for cfg in result.configurations:
+            assert len(cfg.words_plus) <= 2 * genus - 2, (name, genus)
+            assert cfg.p <= 4 * genus - 4, (name, genus)
+            assert max(map(len, cfg.words_plus)) <= 4 * genus - 2, (name, genus)
+        if name == "borromean" and genus > 2:
+            # the word and puncture limits are reached, so neither is loose
+            assert max(len(cfg.words_plus) for cfg in result.configurations) == 2 * genus - 2
+            assert max(cfg.p for cfg in result.configurations) == 4 * genus - 4
