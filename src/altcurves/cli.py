@@ -7,9 +7,13 @@ caps), report (a corpus at a time, optionally in parallel and with rendered
 SVGs), render (one diagram to SVG).
 Every command hands its rows to one writer, `_write`, which emits them as
 JSON lines, CSV or text, as `--format` asks, to `--out` or to stdout.
+`report` gives each file that cannot be read an error record in path order
+with the rows: a "report-error" with `path` and `error` in JSON, a row with
+the message in `failures` in CSV, `PATH: ERROR (message)` in text.
 
 Exit codes: 0 success, 1 domain failure (invalid diagram, violated bound),
-2 input problem (unreadable file, parse error, bad arguments), 3 guard abort
+2 input problem (unreadable file, parse error, bad arguments; `report`
+exits 2 once its other rows are out), 3 guard abort
 (`enumerate` only: the general search exceeded its visited-walk cap), 4
 internal fault (an emitted configuration whose Euler characteristic breaks
 its genus identity: a defect of the program, not of the input).
@@ -70,9 +74,10 @@ def _load(path: str) -> Diagram:
 def _write(args, rows, lines, kind=None, columns=None, summary=None) -> None:
     """Write one command's records in `args.format` to `args.out` (stdout if absent or "-").
 
-    json: a line per row, typed `kind`, then `summary`, which names its own
-    type, when given; csv: a `columns` header, then a line per row; text:
-    `lines`, each ending in a newline, read only here.
+    json: a line per row, typed `kind` unless the row names its own type,
+    then `summary`, which names its own type, when given; csv: a `columns`
+    header, then a line per row; text: `lines`, each ending in a newline,
+    read only here.
     """
     if args.format == "json":
         records = [{"type": kind, **row} for row in rows] + ([summary] if summary else [])
@@ -233,11 +238,11 @@ def cmd_report(args) -> int:
         return 2
 
     def safe_row(path: str):
-        # (row, diagram), or (path, error) for a file that cannot be read
+        # (row, diagram), or ({"path", "error"}, None) for a file that cannot be read
         try:
             return _report_row(path)
         except (OSError, PdSyntaxError, PdStructureError, PlanarityError) as e:
-            return path, e
+            return {"path": path, "error": str(e)}, None
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -245,26 +250,39 @@ def cmd_report(args) -> int:
     else:
         outcomes = [safe_row(path) for path in files]
 
-    for path, error in outcomes:
-        if isinstance(error, Exception):
-            print(f"error: {path}: {error}", file=sys.stderr)
-            return 2
-    rows = [row for row, _ in outcomes]
+    errors = [row for row, d in outcomes if d is None]
+    for error in errors:
+        print(f"error: {error['path']}: {error['error']}", file=sys.stderr)
 
     if args.render is not None:
         render_dir = Path(args.render)
         render_dir.mkdir(parents=True, exist_ok=True)
         for row, d in outcomes:
-            if row["valid"]:
+            if d is not None and row["valid"]:
                 stem = Path(row["path"]).stem
                 svg = render_diagram(d, title=stem)
                 (render_dir / f"{stem}.svg").write_text(svg, encoding="utf-8")
 
-    domain_ok = all(row["valid"] and row["bounds_ok"] is True for row in rows)
+    domain_ok = not errors and all(row["valid"] and row["bounds_ok"] is True
+                                   for row, _ in outcomes)
+
+    def record(row: dict, d: Diagram | None) -> dict:
+        # an unreadable file's record: in CSV a row with the message in
+        # `failures`, in JSON a "report-error" record
+        if d is not None:
+            return row
+        if args.format == "csv":
+            return {**dict.fromkeys(REPORT_COLUMNS, ""), "path": row["path"],
+                    "failures": row["error"]}
+        return {"type": "report-error", **row}
+
+    rows = [record(row, d) for row, d in outcomes]
 
     def lines():
-        for row in rows:
-            if row["valid"]:
+        for row, d in outcomes:
+            if d is None:
+                yield f"{row['path']}: ERROR ({row['error']})\n"
+            elif row["valid"]:
                 yield (f"{row['path']}: n={row['n']} configurations={row['configurations']} "
                        f"(pppp={row['pppp']}, psps_pair={row['psps_pair']}, "
                        f"other={row['other']}) surfaces={row['surfaces']} "
@@ -276,7 +294,7 @@ def cmd_report(args) -> int:
     _write(args, rows, lines(), kind="report-row", columns=REPORT_COLUMNS, summary={
         "type": "report-summary", "diagrams": len(rows), "all_ok": domain_ok,
     })
-    return 0 if domain_ok else 1
+    return 2 if errors else 0 if domain_ok else 1
 
 
 # ----------------------------------------------------------------------------

@@ -76,9 +76,14 @@ builds only clean words.
   puncture adds 1 to p + t and a saddle 1 or 0, so it never falls as a
   walk grows, and a partial word past the cap extends to no usable word.
   As s <= 2t, the cap keeps p + length <= 4g too.  A walk skips moves
-  whose letter is below its first letter, since each cyclic word, walked
-  both ways, has a walk from a least letter (the start rule); and a
-  selection of pool words, by cost and with repetition, grows only while
+  whose letter is below its first letter, and its first step leaves the
+  lesser face of its letter (the start rule).  No edge is a loop, so a
+  letter's faces differ, and at each occurrence of a word's least letter
+  one of the word's two directions crosses it from its lesser face.  The
+  cap, the mask, the follow lists and the closing tests below read a word
+  the same either way, so each word closes at least once, and at most
+  once per occurrence of its least letter.  A selection of pool words, by
+  cost and with repetition, grows only while
   its total is at most 4g - 4, and only a total of exactly 4g - 4 is
   checked, for balance (4) and then for one component (10).  Components
   come from a union-find joining words that share a saddle crossing: a
@@ -99,7 +104,8 @@ builds only clean words.
   and in a walk that survives the follow lists a period of 1, of 2 or an
   odd one would put one arc twice in a row, as no two arcs join the same
   two faces.  Each property a closed walk breaks is tallied once, as
-  `check_word` tallies it, as is each selection the assembly rejects.
+  `check_word` tallies it, as is each selection the assembly rejects:
+  the tallies, like `visited`, count the walks made, not distinct words.
   Walks and selections keep their state on explicit stacks, so no genus
   meets the recursion limit.
 
@@ -404,6 +410,8 @@ def _general_words(
     seen: set[CurveWord] = set()
 
     for start in g.nodes:
+        # the first step leaves the lesser face of its letter (the start rule)
+        rising = [m for m in g.steps[start] if m.dest > start]
         # A frame is a partial walk: its last step, the frame before it, its
         # first step, its p + t, its used-channel mask and its P/S skeleton.
         # The root frame is the empty walk at `start`.
@@ -418,7 +426,7 @@ def _general_words(
                 _tally(diagnostics, faults)
                 if not faults:
                     seen.add(canonicalize(word or _frame_word(frame, start)))
-            for m in g.steps[start] if last is None else follow[last]:
+            for m in rising if last is None else follow[last]:
                 if used & m.bit:
                     continue  # property 2
                 grown = pt if used & m.sibling else pt + 1  # 0 at a touched crossing

@@ -33,8 +33,12 @@ def _cases() -> dict[str, list[str]]:
     every = [str(fixture_path(name)) for name in VALID_NAMES + INVALID_NAMES]
     corpus = [str(FIXTURE_DIR), str(FIXTURE_DIR / "invalid")]
     cases = {}
+    # two readable diagrams and an unreadable file: rows, then an error record
+    mixed = [str(fixture_path("k3_1")), str(fixture_path("k4_1")),
+             str(FIXTURE_DIR / "unreadable")]
     for fmt in ("json", "csv", "txt"):
         cases[f"report.{fmt}"] = ["report", "--format", _FORMATS[fmt], *corpus]
+        cases[f"report-unreadable.{fmt}"] = ["report", "--format", _FORMATS[fmt], *mixed]
     for fmt in ("json", "txt"):
         cases[f"validate.{fmt}"] = ["validate", "--format", _FORMATS[fmt], *every]
         for name in ("borromean", "k3_1"):
