@@ -13,10 +13,11 @@ the message in `failures` in CSV, `PATH: ERROR (message)` in text.
 
 Exit codes: 0 success, 1 domain failure (invalid diagram, violated bound),
 2 input problem (unreadable file, parse error, bad arguments; `report`
-exits 2 once its other rows are out), 3 guard abort
-(`enumerate` only: the general search exceeded its visited-walk cap), 4
-internal fault (an emitted configuration whose Euler characteristic breaks
-its genus identity: a defect of the program, not of the input).
+exits 2 once its other rows are out), 3 guard abort (`enumerate` only:
+the general search exceeded its cap on visited partial walks and word
+selections), 4 internal fault (an emitted configuration whose Euler
+characteristic breaks its genus identity: a defect of the program, not of
+the input).
 """
 
 from __future__ import annotations
@@ -360,9 +361,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("path", metavar="FILE.pd")
     p_enum.add_argument("--genus", type=int, default=2)
     p_enum.add_argument("--guard-cap", type=_positive_int, default=DEFAULT_GUARD_CAP,
-                        help="partial walks the general search (genus above 2) "
-                             "may visit before it aborts with exit code 3 "
-                             "(default %(default)s)")
+                        help="partial walks and word selections the general search "
+                             "(genus above 2) may visit before it aborts with exit "
+                             "code 3 (default %(default)s)")
     _add_output(p_enum, "json", "csv")
     p_enum.set_defaults(func=cmd_enumerate)
 

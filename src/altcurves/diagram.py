@@ -6,10 +6,13 @@ Slots 0 and 2 of a tuple therefore carry the under-strand, slots 1 and 3 the
 over-strand, and every arc label names an edge of the underlying 4-valent
 plane multigraph (crossings are the vertices).
 
-Faces are recovered purely combinatorially from the rotation system: a dart is
-an arc end (crossing, slot); walking "traverse the arc, then turn to the next
-slot counterclockwise" partitions the darts into face cycles.  For a sphere
-diagram the counts obey v - e + f = 2 on every connected component.
+Faces are recovered purely combinatorially from the rotation system.  A dart
+is an arc end, slot k of crossing c, numbered 4(c - 1) + k; it also names
+corner k of that crossing, between slots k and k + 1 mod 4.  Walking
+"traverse the arc, then turn to the next slot counterclockwise" partitions
+the darts into face cycles, and each arc's far end is the corner the walk
+sweeps.  For a sphere diagram the counts obey v - e + f = 2 on every
+connected component.
 
 Text grammar accepted by `parse_pd`:
 
@@ -26,6 +29,7 @@ are normalized to 1..2n preserving order.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import PdStructureError, PdSyntaxError, PlanarityError
@@ -45,7 +49,10 @@ End = tuple[int, int]  # (crossing id 1..n, slot 0..3)
 
 @dataclass(frozen=True)
 class PdCode:
-    """A parsed PD code: one counterclockwise 4-tuple per crossing."""
+    """A parsed PD code: one counterclockwise 4-tuple per crossing.
+
+    Its labels are 1..2n, each exactly twice, as `parse_pd` normalizes them.
+    """
 
     crossings: tuple[tuple[int, int, int, int], ...]
 
@@ -76,14 +83,17 @@ class Face:
 class Diagram:
     """A PD code together with its traced faces.
 
-    corner_map sends every (crossing, corner 0..3) to the face containing that
-    corner; arc_faces sends an arc to the unordered pair of faces it borders.
+    `corner_faces[4(c - 1) + k]` is the face containing corner k of crossing
+    c.  `arcs` sends an arc to its two ends, in dart order, and `arc_faces`
+    to the two faces it borders, lesser first.  Both are built in label
+    order, and `validate` and `build_dual` rely on that order: they read
+    them without sorting.
     """
 
     pd: PdCode
     arcs: dict[int, tuple[End, End]]
     faces: tuple[Face, ...]
-    corner_map: dict[End, int]
+    corner_faces: tuple[int, ...]
     arc_faces: dict[int, tuple[int, int]]
 
     @property
@@ -157,39 +167,35 @@ def _crossings_from_json(blob: str) -> list[tuple[int, int, int, int]]:
 
 
 def _crossings_from_text(text: str) -> list[tuple[int, int, int, int]]:
-    chunks: list[str] = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        chunks.extend(p.strip() for p in line.split("/") if p.strip())
     rows = []
-    for chunk in chunks:
-        parts = chunk.split()
-        if parts[0].upper() != "X" or len(parts) != 5:
-            raise PdSyntaxError(f"expected 'X a b c d', got {chunk!r}")
-        try:
-            labels = tuple(int(p) for p in parts[1:])
-        except ValueError as exc:
-            raise PdSyntaxError(f"non-integer arc label in {chunk!r}") from exc
-        if any(x <= 0 for x in labels):
-            raise PdSyntaxError(f"arc labels must be positive in {chunk!r}")
-        rows.append(labels)
+    for line in text.splitlines():
+        for chunk in line.split("#", 1)[0].split("/"):
+            parts = chunk.split()
+            if not parts:
+                continue
+            if parts[0].upper() != "X" or len(parts) != 5:
+                raise PdSyntaxError(f"expected 'X a b c d', got {chunk.strip()!r}")
+            try:
+                labels = tuple(map(int, parts[1:]))
+            except ValueError as exc:
+                raise PdSyntaxError(f"non-integer arc label in {chunk.strip()!r}") from exc
+            if min(labels) <= 0:
+                raise PdSyntaxError(f"arc labels must be positive in {chunk.strip()!r}")
+            rows.append(labels)
     return rows
 
 
 def _normalize(rows: list[tuple[int, int, int, int]]) -> PdCode:
-    counts: dict[int, int] = {}
-    for row in rows:
-        for label in row:
-            counts[label] = counts.get(label, 0) + 1
+    labels = [label for row in rows for label in row]
+    counts = Counter(labels)
     bad = sorted(label for label, k in counts.items() if k != 2)
     if bad:
         raise PdStructureError(
             f"arc labels must occur exactly twice; offending labels: {bad}"
         )
-    rank = {label: i + 1 for i, label in enumerate(sorted(counts))}
-    return PdCode(tuple(tuple(rank[x] for x in row) for row in rows))
+    rank = {label: i for i, label in enumerate(sorted(counts), start=1)}
+    ranked = map(rank.__getitem__, labels)
+    return PdCode(tuple(zip(ranked, ranked, ranked, ranked)))  # four labels a row
 
 
 # ----------------------------------------------------------------------------
@@ -205,84 +211,75 @@ def build_diagram(pd: PdCode) -> Diagram:
             (v - e + f = 2 on each connected component).
     """
     n = pd.n
-    occurrences: dict[int, list[End]] = {}
-    for c, row in enumerate(pd.crossings, start=1):
-        for slot, label in enumerate(row):
-            occurrences.setdefault(label, []).append((c, slot))
-    arcs = {label: (ends[0], ends[1]) for label, ends in sorted(occurrences.items())}
-
-    def label_of(end: End) -> int:
-        return pd.crossings[end[0] - 1][end[1]]
-
-    def mate(end: End) -> End:
-        first, second = arcs[label_of(end)]
-        return second if end == first else first
+    label_of = [label for row in pd.crossings for label in row]  # by dart
+    first = [-1] * (2 * n + 1)  # by label: the dart where it first occurs
+    mate = [0] * (4 * n)  # by dart: the other end of its arc
+    for d, label in enumerate(label_of):
+        e = first[label]
+        if e < 0:
+            first[label] = d
+        else:
+            mate[d], mate[e] = e, d
+    ends = [(c, slot) for c in range(1, n + 1) for slot in range(4)]  # by dart
+    arrival = [ends[a] for a in mate]  # by departure dart: the corner it sweeps
+    # the departure after arriving at dart a: the next slot of its crossing
+    after = [a + 1 if a % 4 != 3 else a - 3 for a in mate]
 
     # Orbit of "traverse the arc, then turn one slot counterclockwise",
-    # seeded in deterministic end order so face ids are reproducible.
-    face_of_departure: dict[End, int] = {}
+    # seeded in dart order so face ids are reproducible.
+    face_of = [-1] * (4 * n)  # by departure dart
     faces: list[Face] = []
-    for c in range(1, n + 1):
-        for slot in range(4):
-            start = (c, slot)
-            if start in face_of_departure:
-                continue
-            fid = len(faces)
-            corners: list[End] = []
-            walked: list[int] = []
-            d = start
-            while True:
-                face_of_departure[d] = fid
-                arrival = mate(d)
-                walked.append(label_of(d))
-                corners.append(arrival)
-                d = (arrival[0], (arrival[1] + 1) % 4)
-                if d == start:
-                    break
-            faces.append(Face(fid, tuple(corners), tuple(walked)))
+    for start in range(4 * n):
+        if face_of[start] >= 0:
+            continue
+        fid = len(faces)
+        corners, walked = [], []
+        d = start
+        while face_of[d] < 0:
+            face_of[d] = fid
+            corners.append(arrival[d])
+            walked.append(label_of[d])
+            d = after[d]
+        faces.append(Face(fid, tuple(corners), tuple(walked)))
 
-    corner_map = {corner: f.id for f in faces for corner in f.corners}
-    arc_faces = {
-        label: tuple(sorted((face_of_departure[e1], face_of_departure[e2])))
-        for label, (e1, e2) in arcs.items()
-    }
+    arcs = {label: (ends[d], ends[mate[d]]) for label, d in enumerate(first[1:], start=1)}
+    arc_faces: dict[int, tuple[int, int]] = {}
+    for label, d in enumerate(first[1:], start=1):
+        f, g = face_of[d], face_of[mate[d]]
+        arc_faces[label] = (f, g) if f < g else (g, f)
 
-    _check_spherical(pd, arcs, faces)
-    return Diagram(pd, arcs, tuple(faces), corner_map, arc_faces)
-
-
-def _components(n: int, arcs) -> list[list[int]]:
-    """The crossings 1..n grouped by connected component, each in order."""
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (e1, e2) in arcs.values():
-        parent[find(e1[0])] = find(e2[0])
-
-    groups: dict[int, list[int]] = {}
-    for c in range(1, n + 1):
-        groups.setdefault(find(c), []).append(c)
-    return list(groups.values())
-
-
-def _check_spherical(pd: PdCode, arcs, faces) -> None:
     # Euler check runs per connected component so that split (disconnected)
     # diagrams still build and fail validation on the connected flag instead.
-    for members in _components(pd.n, arcs):
-        crossings = set(members)
-        v = len(crossings)
-        e = sum(1 for (e1, _) in arcs.values() if e1[0] in crossings)
-        f = sum(1 for face in faces if face.corners[0][0] in crossings)
+    # v crossings end 4v arc ends, so a component has e = 2v arcs.
+    for members, f in _components(n, mate, [face.corners[0] for face in faces]):
+        v, e = len(members), 2 * len(members)
         if v - e + f != 2:
-            raise PlanarityError(
-                f"component {sorted(crossings)} has v-e+f = {v}-{e}+{f} != 2; "
-                "rotation data is not a sphere diagram"
-            )
+            raise PlanarityError(f"component {members} has v-e+f = {v}-{e}+{f} != 2; "
+                                 "rotation data is not a sphere diagram")
+    corner_faces = tuple([face_of[d] for d in mate])  # leaving mate[a] sweeps corner a
+    return Diagram(pd, arcs, tuple(faces), corner_faces, arc_faces)
+
+
+def _components(n: int, mate: list[int], face_corners: list[End]) -> list[list]:
+    """[crossings, face count] of each component, by least crossing.
+
+    `face_corners` holds one corner of each face.
+    """
+    least = [0] * (n + 1)  # by crossing: the least crossing of its component
+    groups: dict[int, list] = {}
+    for c in range(1, n + 1):
+        if not least[c]:  # depth-first search from a new component's least crossing
+            least[c], stack = c, [c]
+            while stack:
+                x = stack.pop()
+                for d in mate[4 * x - 4:4 * x]:
+                    if not least[d // 4 + 1]:
+                        least[d // 4 + 1] = c
+                        stack.append(d // 4 + 1)
+        groups.setdefault(least[c], [[], 0])[0].append(c)
+    for c, _ in face_corners:
+        groups[least[c]][1] += 1
+    return list(groups.values())
 
 
 # ----------------------------------------------------------------------------
@@ -291,28 +288,32 @@ def _check_spherical(pd: PdCode, arcs, faces) -> None:
 
 
 def validate(d: Diagram) -> ValidationReport:
-    """Run the four diagram checks; every false flag carries a witness."""
+    """Run the four diagram checks; every false flag carries a witness.
+
+    Witnesses come in label order and crossing order, as `d` is built.
+    """
     failures: list[str] = []
 
     alternating = True
-    for label, (e1, e2) in sorted(d.arcs.items()):
-        under = (e1[1] % 2 == 0, e2[1] % 2 == 0)
-        if under[0] == under[1]:
+    for label, ((_, s1), (_, s2)) in d.arcs.items():
+        if s1 % 2 == s2 % 2:
             alternating = False
-            kind = "under" if under[0] else "over"
+            kind = "under" if s1 % 2 == 0 else "over"
             failures.append(f"alternating: arc {label} has two {kind}-strand ends")
 
     reduced = True
-    for c in d.crossing_ids:
-        for k in (0, 1):
-            if d.corner_map[(c, k)] == d.corner_map[(c, k + 2)]:
-                reduced = False
-                failures.append(
-                    f"reduced: crossing {c} has opposite corners {k} and {k + 2} "
-                    f"on face {d.corner_map[(c, k)]}"
-                )
+    for a in range(4 * d.n):
+        if a % 4 < 2 and d.corner_faces[a] == d.corner_faces[a + 2]:
+            reduced = False
+            c, k = divmod(a, 4)
+            failures.append(
+                f"reduced: crossing {c + 1} has opposite corners {k} and {k + 2} "
+                f"on face {d.corner_faces[a]}"
+            )
 
-    connected = len(_components(d.n, d.arcs)) == 1
+    # build_diagram found v - e + f = 2 on each component, with e = 2v, so
+    # the components number (f - n) / 2.
+    connected = len(d.faces) == d.n + 2
     if not connected:
         failures.append("connected: underlying 4-valent graph is disconnected")
 
@@ -334,11 +335,10 @@ def _find_two_edge_cut(d: Diagram) -> tuple[int, int] | None:
     # A 4-valent graph has no bridge, so a 2-edge cut is a minimal cut, and in
     # a plane graph that is a pair of arcs bordering the same two faces (their
     # dual edges form a 2-cycle).  Loop arcs never separate crossings, so they
-    # are skipped outright.  Linear in the number of arcs.
+    # are skipped outright.  Linear in the number of arcs, read in label order.
     by_faces: dict[tuple[int, int], list[int]] = {}
-    for a, (e1, e2) in sorted(d.arcs.items()):
-        if e1[0] != e2[0]:
+    for a, ((c1, _), (c2, _)) in d.arcs.items():
+        if c1 != c2:
             by_faces.setdefault(d.arc_faces[a], []).append(a)
     return min(((arcs[0], arcs[1]) for arcs in by_faces.values() if len(arcs) > 1),
                default=None)
-

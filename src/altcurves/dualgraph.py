@@ -1,15 +1,18 @@
 """Dual graph of a diagram, augmented with saddle channels.
 
-Nodes are the faces of a validated diagram.  Two kinds of edges:
+Nodes are the faces of a validated diagram, by id.  Two kinds of edges:
 
 * p_edges: one per arc, joining the two faces the arc borders (a curve
-  crossing that arc picks up a puncture letter);
+  crossing that arc picks up a puncture letter).  It is the diagram's own
+  `arc_faces`, in label order;
 * s_edges: two per crossing, the saddle channels.  Channel A joins the faces
-  at corners 0 and 2 of the crossing, channel B the faces at corners 1 and 3.
-  The A/B labeling is a fixed global convention.
+  at corners 0 and 2 of the crossing, channel B the faces at corners 1 and 3,
+  read from the diagram's `corner_faces` by dart.  The A/B labeling is a
+  fixed global convention.
 
 Each edge gives two `Step`s, one leaving each of its faces.  `build_dual`
-prepares them once per diagram, and every walker reads them.
+prepares them once per diagram, in one pass over each table in ref order,
+with no sort, and every walker reads them.
 
 Validated diagrams never produce self-loop edges of either kind; validation
 rules this out.  An arc with one face on both sides would be a bridge, which
@@ -66,8 +69,9 @@ class Step:
     1 << i for the i-th channel of `s_edges`, and `sibling` the other
     channel at its crossing, 1 << (i ^ 1), as a crossing's channels A and B
     are consecutive there; both are 0 for a puncture.  The two steps over
-    one arc or channel share its letter and its `touches`.  Steps hash by
-    identity, so a dict keyed by steps never hashes their fields.
+    one arc or channel share its letter and its `touches`, and the two
+    channels of a crossing share their `touches`.  Steps hash by identity,
+    so a dict keyed by steps never hashes their fields.
     """
 
     __slots__ = ("kind", "ref", "letter", "dest", "touches", "bit", "sibling")
@@ -123,28 +127,24 @@ def build_dual(d: Diagram) -> AugmentedDualGraph:
             report=report,
         )
 
-    p_edges = {arc: faces for arc, faces in sorted(d.arc_faces.items())}
-    s_edges: dict[SaddleChannel, tuple[int, int]] = {}
-    for c in d.crossing_ids:
-        for side, (k1, k2) in (("A", (0, 2)), ("B", (1, 3))):
-            faces = (d.corner_map[(c, k1)], d.corner_map[(c, k2)])
-            s_edges[SaddleChannel(c, side)] = tuple(sorted(faces))
-
     nodes = tuple(f.id for f in d.faces)
-    steps: dict[int, list[Step]] = {f: [] for f in nodes}
+    steps: list[list[Step]] = [[] for _ in nodes]
+    p_edges = d.arc_faces
+    for ((c1, _), (c2, _)), (arc, (f1, f2)) in zip(d.arcs.values(), p_edges.items()):
+        letter, touches = Letter("P", arc), frozenset((c1, c2))
+        steps[f1].append(Step(letter, f2, touches, 0, 0))
+        steps[f2].append(Step(letter, f1, touches, 0, 0))
+    # channels A and B of crossing c are channels 2c - 2 and 2c - 1 of s_edges:
+    # A joins the faces at corners 0 and 2, B those at corners 1 and 3
+    s_edges: dict[SaddleChannel, tuple[int, int]] = {}
+    corners = iter(d.corner_faces)
+    for c, (a0, b0, a2, b2) in enumerate(zip(corners, corners, corners, corners), start=1):
+        touches, a, b = frozenset((c,)), 1 << (2 * c - 2), 1 << (2 * c - 1)
+        for side, f1, f2, bit, sibling in (("A", a0, a2, a, b), ("B", b0, b2, b, a)):
+            ch = SaddleChannel(c, side)
+            s_edges[ch] = (f1, f2) if f1 < f2 else (f2, f1)
+            letter = Letter("S", ch)
+            steps[f1].append(Step(letter, f2, touches, bit, sibling))
+            steps[f2].append(Step(letter, f1, touches, bit, sibling))
 
-    def add(letter: Letter, faces: tuple[int, int], touches: frozenset[int], bit: int,
-            sibling: int):
-        f1, f2 = faces
-        steps[f1].append(Step(letter, f2, touches, bit, sibling))
-        steps[f2].append(Step(letter, f1, touches, bit, sibling))
-
-    # both tables are already in sorted ref order
-    for arc, faces in p_edges.items():
-        (c1, _), (c2, _) = d.arcs[arc]
-        add(Letter("P", arc), faces, frozenset((c1, c2)), 0, 0)
-    for i, (ch, faces) in enumerate(s_edges.items()):
-        add(Letter("S", ch), faces, frozenset((ch.crossing,)), 1 << i, 1 << (i ^ 1))
-
-    frozen = {f: tuple(s) for f, s in steps.items()}
-    return AugmentedDualGraph(d, nodes, p_edges, s_edges, frozen)
+    return AugmentedDualGraph(d, nodes, p_edges, s_edges, dict(zip(nodes, map(tuple, steps))))

@@ -189,7 +189,8 @@ class EnumerationResult:
     `families` when given, as the genus-2 enumerators know theirs by
     construction; other results (the general search's, the oracle's, one
     built by hand) classify each configuration once, when `counts` is first
-    read.  `visited` counts the general search's partial walks, else 0.
+    read.  `visited` counts the general search's partial walks and word
+    selections, else 0.
     """
 
     def __init__(self, configurations: tuple[Configuration, ...] | Callable[[], tuple],
@@ -216,7 +217,7 @@ class EnumerationResult:
 
 
 class _Guard:
-    """Counts visited partial walks; aborts past the cap."""
+    """Counts visited partial walks and word selections; aborts past the cap."""
 
     def __init__(self, cap: int):
         self.cap = cap

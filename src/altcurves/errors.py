@@ -33,14 +33,17 @@ class EulerInconsistencyError(ValueError):
 
 
 class GuardAbort(RuntimeError):
-    """Enumeration exceeded the visited-walk cap; partial results are unreliable.
+    """Enumeration exceeded its cap on visited walks and selections.
+
+    Partial results are unreliable.
 
     Attributes:
-        visited: partial-walk count reached before the abort.
+        visited: partial walks and word selections counted before the abort.
         cap: the configured cap.
     """
 
     def __init__(self, visited: int, cap: int):
-        super().__init__(f"enumeration guard tripped: {visited} partial walks visited (cap {cap})")
+        super().__init__(f"enumeration guard tripped: {visited} partial walks and selections "
+                         f"visited (cap {cap})")
         self.visited = visited
         self.cap = cap

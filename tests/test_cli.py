@@ -147,7 +147,7 @@ def test_enumerate_guard_flag(capsys):
     # k4_1 at genus 3 visits 520 partial walks and selections in all
     figure8 = str(fixture_path("k4_1"))
     assert main(["enumerate", "--genus", "3", "--guard-cap", "519", figure8]) == 3
-    assert "guard tripped: 520 partial walks visited (cap 519)" in capsys.readouterr().err
+    assert "guard tripped: 520 partial walks and selections visited (cap 519)" in capsys.readouterr().err
     assert main(["enumerate", "--genus", "3", "--guard-cap", "520", figure8]) == 0
     assert "total=4 (pppp=0, psps_pair=0, other=4)" in capsys.readouterr().out
     # a cap below 1 is a bad argument, rejected before any search
