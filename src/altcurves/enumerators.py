@@ -14,31 +14,40 @@ Three layers, kept deliberately separate:
   filters with the public checks only; the tests quotient its families pair
   by pair and compare them with the specialized results.
 
-Every walker reads the graph's own step table (`AugmentedDualGraph.steps`);
-the oracle reads only letters and destinations.  Only the general search
-reads follow lists, the steps that may follow each step, built once per
-search; `_adjacent_fault` alone decides properties 5 and 6 for them.  The
-genus-2 walkers test their few junctions themselves, so a genus-2 row
-builds no follow list.  No walker but the oracle calls `check_word`: each
-builds only clean words.
+The PSPS walker and the general search read the graph's own step table
+(`AugmentedDualGraph.steps`); the PPPP count reads only its puncture edges
+(`p_edges`), and the oracle only letters and destinations.  Only the general
+search reads follow lists, the steps that may follow each step, built once
+per search; `_adjacent_fault` alone decides properties 5 and 6 for them.
+The PSPS walker tests its few junctions itself, so a genus-2 row builds no
+follow list.  No enumerator but the oracle calls `check_word`: each builds
+only clean words.
 
-* PPPP walks compare arc numbers, not letters.  They take three punctures
-  from their least arc, skipping a second arc not above the first and a
-  third equal to the second, which is the whole property-5 test between
-  them.  The fourth step, back home, is looked up by its two faces, the
-  third face and the first: no arc is a loop and no two arcs join the same
-  two faces, so there is at most one.  No arc repeats in a walk, since a
-  repeat would make an arc a loop or two arcs join the same two faces, so
-  the closing pairs pass 5 and no word is a power (11); 9 holds by length.
-  A word's least arc is unique, and it is walked in one direction only,
-  the one whose second letter is the smaller: that walk is the canonical
-  word, built as such.  On a prime diagram no two clean PPPP words share
-  three arcs, so "three punctures determine the fourth" needs no quotient.
-  A closed walk ends at each face an even number of times, so a word's
-  fourth arc joins the two faces its other three arcs end at an odd number
-  of times.  Two distinct such fourth arcs form the 2-edge cut `validate`
-  rejects.  Equal ones give the same arcs, which close up in one 4-cycle
-  only, so the same canonical word.
+* PPPP words are the 4-cycles of the face graph, whose nodes are the faces
+  and whose edges are the arcs (`p_edges`).  That graph is simple: no arc is
+  a loop, as the diagram is reduced, and no two arcs join the same two
+  faces, as they would be the 2-edge cut `validate` rejects for a prime
+  diagram.  So a closed walk f0, f1, f2, f3 over four arcs repeats an arc
+  back to back exactly when f(i+2) = f(i) for some i: it passes property 5
+  exactly when its four faces differ, that is when it runs round a 4-cycle.
+  No such word is a power (11): in a power u^2 the arc x0 recurs as x2, so
+  it joins f2 and f3 as well as f0 and f1, and f2 = f0.  With no saddle, 2,
+  6 and 7 hold, and 8 and 9 hold by length.  A 4-cycle has four distinct
+  arcs, so it is one word, and its canonical form starts at its least arc,
+  walked towards the lesser of that arc's two neighbours, its face trace
+  starting at the face the arc leaves.  Three arcs of a 4-cycle are a path,
+  and one arc at most joins its two ends, so no two words share three arcs:
+  "three punctures determine the fourth" needs no quotient.  The count is
+  Chiba and Nishizeki's (SIAM J. Comput. 14 (1985)): rank the faces by
+  degree, highest first, ties by id; from each face u, index each path u-v-w
+  whose v and w rank after u by w.  A 4-cycle is found once, at its
+  first-ranked face u, as two of the middles v indexed under its opposite
+  face w, so the count is the sum of C(k, 2) over the k middles of each pair
+  (u, w).  Each edge uv is scanned from its earlier-ranked end u, at the
+  cost of deg(v) <= deg(u) steps, so the wedge steps number at most the sum
+  of min(deg) over the edges, which is at most 2am for a graph of arboricity
+  a with m edges (ibid.).  The face graph is planar, so a <= 3, and it has
+  2n edges: at most 12n steps, linear in n.
 * PSPS walks are two halves, a puncture then a saddle, from the start face
   to a middle face and back; the two faces have opposite checkerboard
   colours, so they differ.  The halves of each face pair (f, mid) are
@@ -112,11 +121,11 @@ builds only clean words.
 A configuration stores its plus sphere only (`Configuration`).  Each word
 is canonical when it is generated: PPPP words are built so, the others
 canonicalized once and deduped through a set; `make_configuration` only
-sorts them.  The genus-2 enumerators count their rows (a PPPP word's arcs,
-faces and letters; a PSPS pair's canonical tuples) and build them into
-words and configurations only when those are first read
-(`EnumerationResult`), so a `report` or `bounds` row, which reads only the
-counts, builds no word and no configuration.
+sorts them.  The genus-2 enumerators count their rows (a PPPP word's pair
+of middles; a PSPS pair's canonical tuples) and build them into words and
+configurations only when those are first read (`EnumerationResult`), so a
+`report` or `bounds` row, which reads only the counts, builds no word and
+no configuration.
 """
 
 from __future__ import annotations
@@ -125,6 +134,8 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
+from math import comb
 
 from .dualgraph import AugmentedDualGraph, Letter, SaddleChannel, Step
 from .errors import EulerInconsistencyError, GuardAbort
@@ -261,31 +272,46 @@ def _tally(diagnostics: dict[int, int], props: set[int]) -> None:
 
 
 def enumerate_pppp(g: AugmentedDualGraph) -> EnumerationResult:
-    """All-puncture 4-letter curves, one configuration per clean word (module docstring)."""
-    punctures = {f: [m for m in out if m.kind == "P"] for f, out in g.steps.items()}
-    words = []  # (arcs, faces, letters), which sort as their words do
-    for start, out in punctures.items():
-        home = {m.dest: m for m in out}  # the step back to `start` from each face
-        for p1 in out:
-            a1 = p1.ref
-            for p2 in punctures[p1.dest]:
-                a2 = p2.ref
-                if a2 <= a1:
-                    continue  # not from the least arc, or property 5
-                for p3 in punctures[p2.dest]:
-                    a3 = p3.ref
-                    if a3 == a2 or a3 < a1:
-                        continue  # property 5, or not from the least arc
-                    p4 = home.get(p3.dest)
-                    # no arc repeats (module docstring), so p4 may follow p3,
-                    # and p1 may follow p4
-                    if p4 is not None and a2 < p4.ref:
-                        words.append(((a1, a2, a3, p4.ref), (start, p1.dest, p2.dest, p3.dest),
-                                      (p1.letter, p2.letter, p3.letter, p4.letter)))
-    return EnumerationResult(
-        lambda: tuple([make_configuration([CurveWord(letters, faces)])
-                       for _, faces, letters in sorted(words)]),
-        {}, families={"pppp": len(words)})
+    """All-puncture 4-letter curves: the 4-cycles of the face graph (module docstring)."""
+    across: list[list[tuple[int, int]]] = [[] for _ in g.nodes]  # (face, arc) by face
+    for arc, (f1, f2) in g.p_edges.items():
+        across[f1].append((f2, arc))
+        across[f2].append((f1, arc))
+    order = sorted(g.nodes, key=lambda f: (-len(across[f]), f))
+    rank = [0] * len(order)
+    for i, f in enumerate(order):
+        rank[f] = i
+    # each pair of faces (u, w) with two or more paths u-v-w, v and w ranked
+    # after u; a middle is (v, arc uv, arc vw), and two middles a 4-cycle
+    cycles, count = [], 0  # (u, w, middles)
+    for u in order:
+        r, mids = rank[u], {}  # w -> its middles
+        for v, uv in across[u]:
+            if rank[v] > r:
+                for w, vw in across[v]:
+                    if rank[w] > r:
+                        mids.setdefault(w, []).append((v, uv, vw))
+        for w, ms in mids.items():
+            if len(ms) > 1:
+                cycles.append((u, w, ms))
+                count += comb(len(ms), 2)
+
+    def build() -> tuple[Configuration, ...]:
+        letters = {arc: Letter("P", arc) for arc in g.p_edges}
+        words = []  # (arcs, faces), which sort as their words do
+        for u, w, ms in cycles:
+            for (v1, a1, b1), (v2, a2, b2) in combinations(ms, 2):
+                # the canonical word: from the least arc, towards its lesser
+                # neighbour, from the face that arc leaves
+                arcs, faces = (a1, b1, b2, a2), (u, v1, w, v2)
+                i = arcs.index(min(arcs))
+                if arcs[i - 1] < arcs[(i + 1) % 4]:  # walk the other way round
+                    arcs, faces, i = (a2, b2, b1, a1), (u, v2, w, v1), 3 - i
+                words.append((arcs[i:] + arcs[:i], faces[i:] + faces[:i]))
+        return tuple([make_configuration([CurveWord(tuple([letters[a] for a in arcs]), faces)])
+                      for arcs, faces in sorted(words)])
+
+    return EnumerationResult(build, {}, families={"pppp": count})
 
 
 def _psps_words(g: AugmentedDualGraph, diagnostics: dict[int, int]) -> list[tuple]:

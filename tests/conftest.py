@@ -15,7 +15,8 @@ from altcurves.dualgraph import AugmentedDualGraph, build_dual
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 sys.path.insert(0, str(FIXTURE_DIR.parent / "scripts"))
 
-from gen_fixtures import PlaneGraph, cf_tree, medial_pd_rows, pd_from_tree, realize  # noqa: E402
+from gen_fixtures import (PlaneGraph, cf_tree, leaf, medial_pd_rows, parallel,  # noqa: E402
+                          pd_from_tree, realize, series)
 
 VALID_NAMES = sorted(p.stem for p in FIXTURE_DIR.glob("*.pd"))
 INVALID_NAMES = sorted(p.stem for p in (FIXTURE_DIR / "invalid").glob("*.pd"))
@@ -139,6 +140,17 @@ def two_bridge_pd(terms: list[int]) -> str:
     return pd_from_tree(cf_tree(terms))
 
 
+def pretzel_pd(bundles: list[int]) -> str:
+    """PD text of a pretzel diagram: a cycle of parallel twist bundles."""
+    return pd_from_tree(series([parallel([leaf()] * k) for k in bundles]))
+
+
+def mirror_pd(text: str) -> str:
+    """PD text of the mirror image: each row X a b c d becomes X b c d a."""
+    rows = [line.split()[1:] for line in text.splitlines() if line.startswith("X")]
+    return "".join(f"X {b} {c} {d} {a}\n" for a, b, c, d in rows)
+
+
 def connected_sum_pd(*summands: list[int]) -> str:
     """PD text of a chain of twist diagrams joined at vertices, as for the granny.
 
@@ -173,6 +185,15 @@ def k4_network_pd(edge_terms: list[list[int]]) -> str:
     g.rot[c] = fans["ca"][0] + fans["cd"][0] + fans["bc"][1]
     g.rot[hub] = fans["ad"][1] + fans["bd"][1] + fans["cd"][1]
     return "".join("X " + " ".join(map(str, row)) + "\n" for row in medial_pd_rows(g))
+
+
+# edge terms of four K4 networks, one edge or two changed from the Borromean rings
+K4_NETWORK_TERMS = (
+    [[2]] + [[1]] * 5,
+    [[1, 1]] + [[1]] * 5,
+    [[1, 2]] + [[1]] * 5,
+    [[3], [1], [1], [2], [1], [1]],
+)
 
 
 # ----------------------------------------------------------------------------

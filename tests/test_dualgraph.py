@@ -11,8 +11,8 @@ from altcurves.dualgraph import SaddleChannel, Step, build_dual
 from altcurves.enumerators import budgets, enumerate_general, enumerate_genus2, oracle_enumerate
 from altcurves.errors import PreconditionError
 
-from conftest import (VALID_NAMES, k4_network_pd, load_diagram, load_dual, relabel,
-                      two_bridge_pd)
+from conftest import (K4_NETWORK_TERMS, VALID_NAMES, k4_network_pd, load_diagram, load_dual,
+                      relabel, two_bridge_pd)
 from gen_fixtures import cf_tree, leaf, parallel, pd_from_tree, series
 
 
@@ -103,12 +103,7 @@ def _relabelled_dual(text, seed):
 STEP_TABLE_CASES = (
     [(name, None) for name in VALID_NAMES]
     + [(f"torus_2_{n}", two_bridge_pd([n])) for n in (5, 9, 21, 41)]
-    + [(f"k4_network_{i}", k4_network_pd(terms)) for i, terms in enumerate((
-        [[2]] + [[1]] * 5,
-        [[1, 1]] + [[1]] * 5,
-        [[1, 2]] + [[1]] * 5,
-        [[3], [1], [1], [2], [1], [1]],
-    ))]
+    + [(f"k4_network_{i}", k4_network_pd(terms)) for i, terms in enumerate(K4_NETWORK_TERMS)]
 )
 
 

@@ -38,10 +38,10 @@ from altcurves.words import (
     serialize_word,
 )
 
-from conftest import (TORUS_NAMES, VALID_NAMES, glued_complex, has_consecutive_saddles,
-                      k4_network_pd, load_dual, pairwise_puncture_reps, pairwise_saddle_reps,
-                      relabel, shares_three_arcs, two_bridge_pd)
-from gen_fixtures import leaf, parallel, pd_from_tree, series
+from conftest import (TORUS_NAMES, VALID_NAMES, fixture_text, glued_complex,
+                      has_consecutive_saddles, k4_network_pd, load_dual, mirror_pd,
+                      pairwise_puncture_reps, pairwise_saddle_reps, pretzel_pd, relabel,
+                      shares_three_arcs, two_bridge_pd)
 
 # class counts certified against oracle_enumerate(max_len=4) on every fixture
 EXPECTED = {
@@ -171,7 +171,7 @@ def _genus2_family_duals():
     """The fixtures, then relabelled 2-bridge and pretzel diagrams up to 8 crossings."""
     texts = [two_bridge_pd(list(terms)) for k in range(1, 4)
              for terms in product(range(1, 4), repeat=k) if 2 <= sum(terms) <= 8]
-    texts += [_pretzel_pd(terms) for k in range(2, 5)
+    texts += [pretzel_pd(terms) for k in range(2, 5)
               for terms in product(range(1, 4), repeat=k) if sum(terms) <= 8]
     return [load_dual(name) for name in VALID_NAMES] + _valid_duals(texts, 12)
 
@@ -360,10 +360,6 @@ def test_budgets_start_at_genus_two():
 # ----------------------------------------------------------------------------
 
 
-def _pretzel_pd(bundles):
-    return pd_from_tree(series([parallel([leaf()] * k) for k in bundles]))
-
-
 def _valid_duals(texts, seed):
     rng = random.Random(seed)
     diagrams = [build_diagram(parse_pd(relabel(text, rng))) for text in texts]
@@ -373,7 +369,7 @@ def _valid_duals(texts, seed):
 def test_pppp_words_never_share_three_arcs():
     texts = [two_bridge_pd(list(terms)) for k in range(1, 4)
              for terms in product(range(1, 4), repeat=k) if sum(terms) >= 2]
-    texts += [_pretzel_pd(terms) for k in range(2, 5) for terms in product(range(1, 4), repeat=k)]
+    texts += [pretzel_pd(terms) for k in range(2, 5) for terms in product(range(1, 4), repeat=k)]
     duals = _valid_duals(texts, 8)
     assert len(duals) >= 100
     for g in duals:
@@ -492,14 +488,14 @@ def test_psps_diagnostics_equal_check_word_tally(g, monkeypatch):
 
 
 # ----------------------------------------------------------------------------
-# PPPP generation: closed by lookup, built canonical
+# PPPP generation: 4-cycles of the face graph, built canonical
 # ----------------------------------------------------------------------------
 
 
 twist_terms = st.lists(st.integers(1, 3), min_size=1, max_size=4)
 pppp_families = st.one_of(
     twist_terms.filter(lambda t: sum(t) >= 2).map(two_bridge_pd),
-    twist_terms.filter(lambda t: len(t) >= 2).map(_pretzel_pd),
+    twist_terms.filter(lambda t: len(t) >= 2).map(pretzel_pd),
     st.lists(st.sampled_from(([1], [2], [1, 1])), min_size=6, max_size=6).map(k4_network_pd),
 )
 
@@ -538,12 +534,39 @@ def test_closed_form_chi_equals_glued_complex(text, seed):
         assert euler_crosscheck(cfg) == v - e + f == 2
 
 
+@pytest.mark.parametrize("n", [201, 1001])
+def test_pppp_count_on_large_torus_knots_builds_no_configuration(n):
+    # a (2,n) torus knot's face graph is K(2,n): two n-gons, each joined to
+    # all n bigons, so its 4-cycles are the C(n, 2) pairs of bigons
+    g = build_dual(build_diagram(parse_pd(two_bridge_pd([n]))))
+    result = enumerate_pppp(g)
+    assert result.counts["pppp"] == comb(n, 2)
+    assert "configurations" not in result.__dict__
+
+
+def _genus2_family_counts(text):
+    counts = enumerate_genus2(build_dual(build_diagram(parse_pd(text)))).counts
+    return counts["pppp"], counts["psps_pair"]
+
+
+MIRROR_CASES = ([(name, fixture_text(name)) for name in VALID_NAMES]
+                + [(f"torus_2_{n}", relabel(two_bridge_pd([n]), random.Random(n)))
+                   for n in range(2, 42)])
+
+
+@pytest.mark.parametrize("name,text", MIRROR_CASES, ids=[c[0] for c in MIRROR_CASES])
+def test_mirror_keeps_genus2_family_counts(name, text):
+    # Mirroring keeps the face graph, so the PPPP count, its 4-cycles, is
+    # kept by proof; that the PSPS count is kept is observed here.
+    assert _genus2_family_counts(mirror_pd(text)) == _genus2_family_counts(text)
+
+
 def test_genus2_fault_tests_grow_with_the_output(monkeypatch):
     # on (2,n) torus knots the output grows as n^2, 3.8 times from n = 21 to
     # n = 41, and the PSPS work should grow no faster than n.  The genus-2
-    # walkers read no follow list, so `_adjacent_fault` is never called:
-    # PPPP walks skip repeated arcs by their letter order, and PSPS halves
-    # test their one junction on `touches`.  Each face pair with halves
+    # enumerators read no follow list, so `_adjacent_fault` is never called:
+    # PPPP words are 4-cycles of the face graph, and PSPS halves test their
+    # one junction on `touches`.  Each face pair with halves
     # both ways builds its smaller side first: here two halves, neither
     # clean, so the larger side is never built and nothing is joined.
     faults = [0]
@@ -656,7 +679,7 @@ def test_genus2_counts_build_no_psps_word(monkeypatch):
 
 def _family_count_duals():
     """The fixtures, relabelled (2,n) torus knots up to n = 41, pretzels and K4 networks."""
-    texts = [_pretzel_pd(terms) for k in range(2, 5) for terms in product(range(1, 4), repeat=k)]
+    texts = [pretzel_pd(terms) for k in range(2, 5) for terms in product(range(1, 4), repeat=k)]
     return ([load_dual(name) for name in VALID_NAMES] + [_torus_dual(n) for n in range(2, 42)]
             + _valid_duals(texts, 10) + K4_DUALS)
 
@@ -817,10 +840,10 @@ EQUIVALENCE_CASES = (
 )
 GENERATED = {
     "two_bridge_2_2": lambda: two_bridge_pd([2, 2]),
-    "pretzel_2_2": lambda: _pretzel_pd([2, 2]),
+    "pretzel_2_2": lambda: pretzel_pd([2, 2]),
     "two_bridge_3_1_2": lambda: two_bridge_pd([3, 1, 2]),
-    "pretzel_2_2_2": lambda: _pretzel_pd([2, 2, 2]),
-    "pretzel_3_1_2": lambda: _pretzel_pd([3, 1, 2]),
+    "pretzel_2_2_2": lambda: pretzel_pd([2, 2, 2]),
+    "pretzel_3_1_2": lambda: pretzel_pd([3, 1, 2]),
 }
 
 
