@@ -10,9 +10,9 @@ Nodes are the faces of a validated diagram, by id.  Two kinds of edges:
   read from the diagram's `corner_faces` by dart.  The A/B labeling is a
   fixed global convention.
 
-Each edge gives two `Step`s, one leaving each of its faces.  `build_dual`
-prepares them once per diagram, in one pass over each table in ref order,
-with no sort, and every walker reads them.
+Each edge gives two `Step`s, one leaving each of its faces.  They are built
+when `AugmentedDualGraph.steps` is first read, in one pass over each table
+in ref order, with no sort; the genus-2 enumerators read only the edges.
 
 Validated diagrams never produce self-loop edges of either kind; validation
 rules this out.  An arc with one face on both sides would be a bridge, which
@@ -23,6 +23,7 @@ face is exactly a crossing that fails the `reduced` check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .diagram import Diagram, validate
@@ -91,14 +92,30 @@ class AugmentedDualGraph:
     """Faces plus puncture and saddle adjacency, with deterministic ordering.
 
     `steps` maps each face to the steps leaving it: all P-steps, then all
-    S-steps, each in sorted ref order.  Every walker reads this one table.
+    S-steps, each in sorted ref order.  It is built when first read, once
+    per graph; the general search and the oracle walk it.
     """
 
     diagram: Diagram
     nodes: tuple[int, ...]
     p_edges: dict[int, tuple[int, int]]
     s_edges: dict[SaddleChannel, tuple[int, int]]
-    steps: dict[int, tuple[Step, ...]]
+
+    @cached_property
+    def steps(self) -> dict[int, tuple[Step, ...]]:
+        steps: list[list[Step]] = [[] for _ in self.nodes]
+        for ((c1, _), (c2, _)), (arc, (f1, f2)) in zip(self.diagram.arcs.values(),
+                                                        self.p_edges.items()):
+            letter, touches = Letter("P", arc), frozenset((c1, c2))
+            steps[f1].append(Step(letter, f2, touches, 0, 0))
+            steps[f2].append(Step(letter, f1, touches, 0, 0))
+        # channels A and B of a crossing are channels i and i ^ 1 of s_edges
+        for i, (ch, (f1, f2)) in enumerate(self.s_edges.items()):
+            touches = frozenset((ch.crossing,)) if ch.side == "A" else touches
+            letter, bit, sibling = Letter("S", ch), 1 << i, 1 << (i ^ 1)
+            steps[f1].append(Step(letter, f2, touches, bit, sibling))
+            steps[f2].append(Step(letter, f1, touches, bit, sibling))
+        return dict(zip(self.nodes, map(tuple, steps)))
 
     def steps_from(self, face: int) -> tuple[Step, ...]:
         """The steps leaving `face`; a face not in the graph is a ValueError."""
@@ -127,24 +144,10 @@ def build_dual(d: Diagram) -> AugmentedDualGraph:
             report=report,
         )
 
-    nodes = tuple(f.id for f in d.faces)
-    steps: list[list[Step]] = [[] for _ in nodes]
-    p_edges = d.arc_faces
-    for ((c1, _), (c2, _)), (arc, (f1, f2)) in zip(d.arcs.values(), p_edges.items()):
-        letter, touches = Letter("P", arc), frozenset((c1, c2))
-        steps[f1].append(Step(letter, f2, touches, 0, 0))
-        steps[f2].append(Step(letter, f1, touches, 0, 0))
-    # channels A and B of crossing c are channels 2c - 2 and 2c - 1 of s_edges:
-    # A joins the faces at corners 0 and 2, B those at corners 1 and 3
+    # A joins the faces at corners 0 and 2 of crossing c, B those at 1 and 3
     s_edges: dict[SaddleChannel, tuple[int, int]] = {}
     corners = iter(d.corner_faces)
     for c, (a0, b0, a2, b2) in enumerate(zip(corners, corners, corners, corners), start=1):
-        touches, a, b = frozenset((c,)), 1 << (2 * c - 2), 1 << (2 * c - 1)
-        for side, f1, f2, bit, sibling in (("A", a0, a2, a, b), ("B", b0, b2, b, a)):
-            ch = SaddleChannel(c, side)
-            s_edges[ch] = (f1, f2) if f1 < f2 else (f2, f1)
-            letter = Letter("S", ch)
-            steps[f1].append(Step(letter, f2, touches, bit, sibling))
-            steps[f2].append(Step(letter, f1, touches, bit, sibling))
-
-    return AugmentedDualGraph(d, nodes, p_edges, s_edges, dict(zip(nodes, map(tuple, steps))))
+        s_edges[SaddleChannel(c, "A")] = (a0, a2) if a0 < a2 else (a2, a0)
+        s_edges[SaddleChannel(c, "B")] = (b0, b2) if b0 < b2 else (b2, b0)
+    return AugmentedDualGraph(d, tuple(f.id for f in d.faces), d.arc_faces, s_edges)

@@ -14,14 +14,13 @@ Three layers, kept deliberately separate:
   filters with the public checks only; the tests quotient its families pair
   by pair and compare them with the specialized results.
 
-The PSPS walker and the general search read the graph's own step table
-(`AugmentedDualGraph.steps`); the PPPP count reads only its puncture edges
-(`p_edges`), and the oracle only letters and destinations.  Only the general
-search reads follow lists, the steps that may follow each step, built once
-per search; `_adjacent_fault` alone decides properties 5 and 6 for them.
-The PSPS walker tests its few junctions itself, so a genus-2 row builds no
-follow list.  No enumerator but the oracle calls `check_word`: each builds
-only clean words.
+The genus-2 enumerators read only the graph's edges, `p_edges` and
+`s_edges`, so a genus-2 row builds no step table; the general search and
+the oracle walk the steps (`AugmentedDualGraph.steps`, built when first
+read).  Only the general search reads follow lists, the steps that may
+follow each step, built once per search; `_adjacent_fault` alone decides
+properties 5 and 6 for them.  No enumerator but the oracle calls
+`check_word`: each builds only clean words.
 
 * PPPP words are the 4-cycles of the face graph, whose nodes are the faces
   and whose edges are the arcs (`p_edges`).  That graph is simple: no arc is
@@ -51,26 +50,26 @@ only clean words.
 * PSPS walks are two halves, a puncture then a saddle, from the start face
   to a middle face and back; the two faces have opposite checkerboard
   colours, so they differ.  The halves of each face pair (f, mid) are
-  indexed once by their punctures, so the closed walks number the sum of
+  indexed once by their arcs, each with its end crossings and the channels
+  from its far face to mid, so the closed walks number the sum of
   count[f, mid] * count[mid, f] over face pairs, none of them built.  Clean
-  halves, whose saddle meets no end of its puncture's arc, are built only
-  for face pairs with halves both ways: first the direction with fewer
-  halves, then the other only when the first has a clean one.  A join
-  tests its two other junctions for property 6 and stands for the walk
-  from f and its rotation from mid.  Property 6 is tallied as the closed
-  walks less the clean ones, each failing walk once, as `check_word`
-  would.  Nothing else can fail: two punctures in two blocks (7, 8), length
-  four (9), and saddles joining faces of opposite checkerboard colours, so
-  no channel twice (2) and no power (11).  A clean word is kept as its
-  canonical pair of tuples (letters, faces) (`canonical_form`), which
-  orders as its `CurveWord` does.  Each channel set C keeps its least
-  word, and each unordered {C, flip(C)} across two crossings gives one
-  pair.  Pairs share a channel set exactly when they share
-  {C, flip(C)}, so this is the least pair of its class under "two saddles
-  determine the pair".  It is balanced (4) and has no adjacent saddles (3)
-  by construction, so it skips `check_configuration`.  On a (2,n) torus
-  knot every face pair's smaller side has at most two halves and no clean
-  one, so the PSPS work is linear in n.
+  halves, whose channel meets neither end of the arc (`_clean`), are built
+  only for face pairs with halves both ways: first the direction with fewer
+  halves, then the other only when the first has a clean one.  A join tests
+  its two other junctions for property 6 and stands for the walk from f and
+  its rotation from mid.  Property 6 is tallied as the closed walks less the
+  clean ones, each failing walk once, as `check_word` would.  Nothing else
+  can fail: two punctures in two blocks (7, 8), length four (9), and saddles
+  joining faces of opposite checkerboard colours, so no channel twice (2)
+  and no power (11).  A clean word is kept as its canonical
+  (letters, faces), which orders as its `CurveWord` does.  Each channel set
+  C keeps its least word, and each unordered {C, flip(C)} across two
+  crossings gives one pair.  Pairs share a channel set exactly when they
+  share {C, flip(C)}, so this is the least pair of its class under "two
+  saddles determine the pair".  It is balanced (4) and has no adjacent
+  saddles (3) by construction, so it skips `check_configuration`.  On a
+  (2,n) torus knot every face pair's smaller side has at most two halves and
+  no clean one, so the PSPS work is linear in n.
 * The general search is driven by the genus-g identity.  With w plus
   words, s plus saddles and p plus punctures, chi = 2w - s/2
   (`euler_crosscheck`), so chi - p = 2 - 2g says that the costs
@@ -314,47 +313,45 @@ def enumerate_pppp(g: AugmentedDualGraph) -> EnumerationResult:
     return EnumerationResult(build, {}, families={"pppp": count})
 
 
+def _clean(halves: list[tuple]) -> list[tuple]:
+    """(arc, ends, via, channel) for each channel at neither end of its arc."""
+    return [(arc, ends, via, ch) for arc, ends, via, chs in halves for ch in chs
+            if ch.crossing not in ends]
+
+
 def _psps_words(g: AugmentedDualGraph, diagnostics: dict[int, int]) -> list[tuple]:
-    # Closed walks are counted from the halves of each face pair, indexed by
-    # their punctures; clean halves are built from a pair's smaller side
-    # first and joined, and the walks failing property 6 are the difference
-    # (module docstring).  Each clean word is kept as its canonical
-    # (letters, faces), which sort as its `CurveWord` would.
-    saddles: dict[int, dict[int, list[Step]]] = {}  # by face, then destination
-    for f, out in g.steps.items():
-        by_dest = saddles[f] = {}
-        for s in out:
-            if s.kind == "S":
-                by_dest.setdefault(s.dest, []).append(s)
-    halves: dict[tuple[int, int], list] = {}  # (from, to) -> [(puncture, saddles)]
-    counts: dict[tuple[int, int], int] = {}  # (from, to) -> halves
-    for f, out in g.steps.items():
-        for p in out:
-            if p.kind == "P":
-                for mid, ss in saddles[p.dest].items():
-                    halves.setdefault((f, mid), []).append((p, ss))
-                    counts[f, mid] = counts.get((f, mid), 0) + len(ss)
+    # halves, joins, the property-6 tally and canonical tuples: module docstring
+    saddles: list[dict] = [{} for _ in g.nodes]  # face -> destination -> channels
+    for ch, (f1, f2) in g.s_edges.items():
+        saddles[f1].setdefault(f2, []).append(ch)
+        saddles[f2].setdefault(f1, []).append(ch)
+    halves: list[dict] = [{} for _ in g.nodes]  # from -> to -> [(arc, ends, via, channels)]
+    counts: list[dict] = [{} for _ in g.nodes]  # from -> to -> halves
+    for ((c1, _), (c2, _)), (arc, (f1, f2)) in zip(g.diagram.arcs.values(), g.p_edges.items()):
+        ends = (c1, c2)
+        for f, via in ((f1, f2), (f2, f1)):  # over the arc into `via`, then a channel
+            out, count = halves[f], counts[f]
+            for mid, chs in saddles[via].items():
+                out.setdefault(mid, []).append((arc, ends, via, chs))
+                count[mid] = count.get(mid, 0) + len(chs)
 
-    def clean(pair: tuple[int, int]) -> list[tuple[Step, Step]]:
-        return [(p, s) for p, ss in halves[pair] for s in ss
-                if p.touches.isdisjoint(s.touches)]
-
-    walks = passed = 0
-    seen: set[tuple] = set()
-    for (f, mid), k in counts.items():
-        back = counts.get((mid, f), 0)
-        walks += k * back
-        if not back or (back, mid) < (k, f):
-            continue  # each face pair once, from its smaller side
-        firsts = clean((f, mid))
-        if not firsts:
-            continue
-        for p2, s2 in clean((mid, f)):
-            for p1, s1 in firsts:
-                if s1.touches.isdisjoint(p2.touches) and s2.touches.isdisjoint(p1.touches):
-                    passed += 2  # the walk from f, and its rotation from mid
-                    seen.add(canonical_form((p1.letter, s1.letter, p2.letter, s2.letter),
-                                            (f, p1.dest, mid, p2.dest)))
+    walks, passed, seen = 0, 0, set()
+    for f, count in enumerate(counts):
+        for mid, k in count.items():
+            back = counts[mid].get(f, 0)
+            walks += k * back
+            if not back or (back, mid) < (k, f):
+                continue  # each face pair once, from its smaller side
+            firsts = _clean(halves[f][mid])
+            if not firsts:
+                continue
+            for a2, ends2, m2, s2 in _clean(halves[mid][f]):
+                for a1, ends1, m1, s1 in firsts:
+                    if s1.crossing not in ends2 and s2.crossing not in ends1:
+                        passed += 2  # the walk from f, and its rotation from mid
+                        seen.add(canonical_form(
+                            (Letter("P", a1), Letter("S", s1), Letter("P", a2), Letter("S", s2)),
+                            (f, m1, mid, m2)))
     if walks > passed:
         diagnostics[6] = diagnostics.get(6, 0) + walks - passed
     return sorted(seen)

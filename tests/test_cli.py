@@ -1,13 +1,20 @@
 """Command line behaviour: formats, exit codes, guard handling."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
+from itertools import permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import altcurves
 from altcurves import cli, dualgraph, enumerators
@@ -15,7 +22,7 @@ from altcurves.cli import CONFIG_COLUMNS, REPORT_COLUMNS, main
 from altcurves.enumerators import EnumerationResult
 from altcurves.errors import EulerInconsistencyError, PdSyntaxError
 
-from conftest import FIXTURE_DIR, fixture_path
+from conftest import FIXTURE_DIR, fixture_path, relabel, two_bridge_pd
 
 TREFOIL = str(fixture_path("k3_1"))
 BORROMEAN = str(fixture_path("borromean"))
@@ -174,6 +181,73 @@ def test_deep_genus_trips_the_guard_without_a_traceback():
     assert run.returncode == 3
     assert "guard tripped: 1501 partial walks" in run.stderr
     assert "Traceback" not in run.stderr
+
+
+# A reordering of one crossing's labels that is not a cyclic rotation takes
+# a validated diagram off the sphere.  Its four corner faces differ, so each
+# passes the crossing once, and cut there they are four paths, path i from
+# slot i + 1 back to slot i.  The new cyclic order `succ` joins path i to
+# path succ(i) - 1: a 4-cycle times a 4-cycle, so an even permutation, and
+# not the identity, so it has 2 cycles.  The graph is unchanged and the four
+# faces become 2: v - e + f falls from 2 to 0.
+OFF_SPHERE = [p for p in permutations(range(4))
+              if p not in {tuple((k + i) % 4 for i in range(4)) for k in range(4)}]
+
+
+def _malformed(text: str, kind: str, rng: random.Random) -> str:
+    """PD text broken one way: a row cut short, a label repeated or missing,
+    or one crossing's labels taken off the sphere."""
+    rows = [line.split()[1:] for line in text.splitlines() if line.startswith("X")]
+    row = rng.choice(rows)
+    labels = sorted({x for r in rows for x in r}, key=int)
+    i = rng.randrange(4)
+    if kind == "truncated":
+        del row[i:]
+    elif kind == "repeated":
+        row[i] = rng.choice([x for x in labels if x != row[i]])
+    elif kind == "missing":
+        row[i] = str(int(labels[-1]) + 1)
+    else:
+        row[:] = [row[k] for k in rng.choice(OFF_SPHERE)]
+    return "".join("X " + " ".join(r) + "\n" for r in rows)
+
+
+def _enumerate(argv):
+    """`main(["enumerate", *argv])`'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["enumerate", *argv])
+    return rc, out.getvalue(), err.getvalue()
+
+
+# the documented exit code of each kind of bad input
+BAD_INPUT_EXITS = {"truncated": 2, "repeated": 2, "missing": 2, "off-sphere": 2,
+                   "genus 1": 2, "genus 0": 2, "genus 300": 3}
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(BAD_INPUT_EXITS)),
+       terms=st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda t: sum(t) >= 2),
+       seed=st.integers(0, 2**32 - 1), cap=st.integers(1, 500),
+       fmt=st.sampled_from(["text", "json", "csv"]))
+def test_bad_input_to_enumerate_exits_with_its_code(kind, terms, seed, cap, fmt):
+    # malformed PD text on a drawn 2-bridge diagram, or an extreme genus on
+    # hopf under a small guard cap: each ends in its documented exit code
+    # and one error line, and no exception escapes `main`
+    rng = random.Random(seed)
+    argv = ["--guard-cap", str(cap), "--format", fmt]
+    if kind.startswith("genus"):
+        rc, out, err = _enumerate(argv + ["--genus", kind.split()[1], str(fixture_path("hopf"))])
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bad.pd"
+            path.write_text(_malformed(relabel(two_bridge_pd(terms), rng), kind, rng),
+                            encoding="utf-8")
+            rc, out, err = _enumerate(argv + [str(path)])
+    assert rc == BAD_INPUT_EXITS[kind]
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("target,error,argv", [

@@ -119,10 +119,16 @@ def test_step_table(name, text, monkeypatch):
     monkeypatch.setattr(Step, "__init__", counting_init)
     g = load_dual(name) if text is None else _relabelled_dual(text, 1)
     edges = {**g.p_edges, **g.s_edges}
+    # `build_dual` makes no step; the first read of `steps` makes two per
+    # edge, and a second read none
+    assert made[0] == 0
+    steps = g.steps
+    assert made[0] == 2 * len(edges)
+    assert g.steps is steps
     assert made[0] == 2 * len(edges)
 
     # each arc and each channel gives two steps, sharing one letter and one
-    # `touches` object
+    # `touches` object, which the two channels of a crossing share too
     by_ref = {}
     for f in g.nodes:
         for step in g.steps_from(f):
@@ -145,10 +151,12 @@ def test_step_table(name, text, monkeypatch):
         # the bit of the other channel at the same crossing
         other = SaddleChannel(ch.crossing, "B" if ch.side == "A" else "A")
         assert step.sibling == by_ref[other][0].bit
+        assert step.touches is by_ref[other][0].touches
         bits.add(step.bit)
     assert len(bits) == len(g.s_edges)
 
-    # the walkers read the graph's steps and make none of their own
+    # no walker makes steps of its own: the genus-2 enumerators read none,
+    # the general search and the oracle the graph's
     made[0] = 0
     assert enumerate_genus2(g).configurations
     # the oracle's cost is check_word on every closed walk, and the general

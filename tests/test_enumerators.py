@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from altcurves import cli, enumerators
 from altcurves.bounds import compare
 from altcurves.diagram import build_diagram, parse_pd, validate
-from altcurves.dualgraph import SaddleChannel, build_dual
+from altcurves.dualgraph import SaddleChannel, Step, build_dual
 from altcurves.enumerators import (
     budgets,
     classify_family,
@@ -566,9 +566,9 @@ def test_genus2_fault_tests_grow_with_the_output(monkeypatch):
     # n = 41, and the PSPS work should grow no faster than n.  The genus-2
     # enumerators read no follow list, so `_adjacent_fault` is never called:
     # PPPP words are 4-cycles of the face graph, and PSPS halves test their
-    # one junction on `touches`.  Each face pair with halves
-    # both ways builds its smaller side first: here two halves, neither
-    # clean, so the larger side is never built and nothing is joined.
+    # one junction in `_clean`.  Each face pair with halves both ways builds
+    # its smaller side first: here two halves, neither clean, so the larger
+    # side is never built and nothing is joined.
     faults = [0]
     real_fault = enumerators._adjacent_fault
 
@@ -576,32 +576,31 @@ def test_genus2_fault_tests_grow_with_the_output(monkeypatch):
         faults[0] += 1
         return real_fault(a, b)
 
-    tests = Counter()
+    tested, kept = [0], [0]
+    real_clean = enumerators._clean
 
-    class CountingTouches(frozenset):
-        def isdisjoint(self, other):
-            disjoint = frozenset.isdisjoint(self, other)
-            # a puncture's touches test a half, a saddle's a join
-            tests[self.kind, disjoint] += 1
-            return disjoint
+    def counting_clean(halves):
+        clean = real_clean(halves)
+        tested[0] += sum(len(chs) for _, _, _, chs in halves)
+        kept[0] += len(clean)
+        return clean
 
     monkeypatch.setattr(enumerators, "_adjacent_fault", counting_fault)
+    monkeypatch.setattr(enumerators, "_clean", counting_clean)
+    joins = _count_calls(monkeypatch, enumerators.canonical_form)
     made = {}
-    for n, halves_tested in ((21, 84), (41, 164)):
+    for n in (21, 41):
         g = _torus_dual(n)
-        for out in g.steps.values():
-            for step in out:
-                step.touches = CountingTouches(step.touches)
-                step.touches.kind = step.kind
-        faults[0] = 0
-        tests.clear()
+        faults[0] = tested[0] = kept[0] = 0
+        joins.clear()
         result = enumerate_genus2(g)
         assert result.counts["pppp"] == comb(n, 2)
         assert result.diagnostics == {6: 8 * n * n}
         assert faults[0] == 0
         # 4n halves tested, none of them clean, and no join
-        assert tests == {("P", False): halves_tested}
-        made[n] = sum(tests.values())
+        assert (tested[0], kept[0]) == (4 * n, 0)
+        assert not joins
+        made[n] = tested[0]
     assert made[41] <= 2.2 * made[21]
 
 
@@ -675,6 +674,25 @@ def test_genus2_counts_build_no_psps_word(monkeypatch):
         assert calls == {}
         result.configurations
         assert calls["CurveWord"] == result.counts["pppp"] + 2 * pairs
+
+
+def test_genus2_rows_build_no_step(monkeypatch, tmp_path, capsys):
+    # The genus-2 enumerators read only `p_edges` and `s_edges`, so neither
+    # a genus-2 count nor a `report` row builds the step table.
+    made = [0]
+    real_init = Step.__init__
+
+    def counting_init(self, *args):
+        made[0] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(Step, "__init__", counting_init)
+    result = enumerate_genus2(_torus_dual(41))
+    assert result.counts["pppp"] == comb(41, 2)
+    assert result.diagnostics == {6: 8 * 41 * 41}
+    assert cli.main(["report", _torus_path(tmp_path, 41), "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert made[0] == 0
 
 
 def _family_count_duals():
