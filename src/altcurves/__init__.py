@@ -28,7 +28,6 @@ from .diagram import (
 from .dualgraph import AugmentedDualGraph, SaddleChannel, Step, build_dual
 from .enumerators import (
     DEFAULT_GUARD_CAP,
-    EnumerationBudget,
     EnumerationResult,
     budgets,
     classify_family,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .enumerators import EnumerationResult
+from .enumerators import EnumerationResult, budgets
 from .tubing import count_tubings
 
 __all__ = [
@@ -53,18 +53,19 @@ def general_bound(n: int, genus: int) -> int:
     of 20g - 16 letters each.  The genus-g identity (`enumerators` module
     docstring) leaves a word at most 4g - 2 letters, so the cap is far
     looser than it need be.  The paper's looser headline form is
-    c_g(genus) * n ** (40 g^2).
+    c_g(genus) * n ** (40 g^2).  ValueError below genus 2 (`budgets`).
     """
-    if genus < 2:
-        raise ValueError(f"splitting surfaces start at genus 2, got {genus}")
+    genus = budgets(genus)
     exponent = (20 * genus - 16) * (2 * genus - 2)
     return comb(4 * genus - 4, 2 * genus - 2) * (4 * n) ** exponent
 
 
 def c_g(genus: int) -> int:
-    """Constant factor of the paper's general bound: c_g * n^(40 g^2)."""
-    if genus < 2:
-        raise ValueError(f"splitting surfaces start at genus 2, got {genus}")
+    """Constant factor of the paper's general bound: c_g * n^(40 g^2).
+
+    ValueError below genus 2 (`budgets`).
+    """
+    genus = budgets(genus)
     return comb(4 * genus - 4, 2 * genus - 2) * 4 ** (40 * genus * genus)
 
 

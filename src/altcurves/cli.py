@@ -37,7 +37,6 @@ from .diagram import Diagram, build_diagram, parse_pd, validate
 from .dualgraph import build_dual
 from .enumerators import (
     DEFAULT_GUARD_CAP,
-    budgets,
     classify_family,
     enumerate_general,
     enumerate_genus2,
@@ -151,7 +150,7 @@ def cmd_enumerate(args) -> int:
     if args.genus == 2:
         result = enumerate_genus2(dual)
     else:
-        result = enumerate_general(dual, budgets(args.genus), guard_cap=args.guard_cap)
+        result = enumerate_general(dual, args.genus, guard_cap=args.guard_cap)
     rows = [_config_row(cfg) for cfg in result.configurations]
     c = result.counts
 

@@ -90,48 +90,50 @@ properties 5 and 6 for them.  No enumerator but the oracle calls
   one of the word's two directions crosses it from its lesser face.  The
   cap, the mask, the follow lists and the closing tests below read a word
   the same either way, so each word closes at least once, and at most
-  once per occurrence of its least letter.  A selection of pool words, by
-  cost and with repetition, grows only while
-  its total is at most 4g - 4, and only a total of exactly 4g - 4 is
-  checked, for balance (4) and then for one component (10).  Components
-  come from a union-find joining words that share a saddle crossing: a
-  word's plus and minus disks glue into one piece, and pieces meet only
-  at saddle vertices, at crossings.  Where a crossing's saddles stack one
-  high, its one vertex joins every word through it; higher stacks are
-  joined whole, as the words do not record which passages share a saddle.
-  A kept configuration with chi - p other than 2 - 2g is a defect
-  (`EulerInconsistencyError`).
-  The walk prunes property 2 with a mask of used channels, and 5 and 6
-  through the follow lists; a saddle adds to t unless the mask holds its
-  crossing's other channel (`Step.sibling`).  A walk closes only at an
-  even length of at least 4 (9); there the closing pair is tested for 5
-  and 6, property 8 is read from the P/S skeleton's punctures, 7 from the
+  once per occurrence of its least letter; the pool is the set of the kept
+  words' canonical forms, sorted.  A selection of pool words, by cost and
+  with repetition, grows only while its total is at most 4g - 4, and only
+  a total of exactly 4g - 4 is checked, for balance (4) and then for one
+  component (10).  Components come from a union-find joining words that
+  share a saddle crossing: a word's plus and minus disks glue into one
+  piece, and pieces meet only at saddle vertices, at crossings.  Where a
+  crossing's saddles stack one high, its one vertex joins every word
+  through it; higher stacks are joined whole, as the words do not record
+  which passages share a saddle.  A kept configuration with chi - p other
+  than 2 - 2g is a defect (`EulerInconsistencyError`).  A partial walk is
+  the tuple of its steps, with its p + t and its mask.  The walk prunes
+  property 2 with the mask of used channels, and 5 and 6 through the
+  follow lists; a saddle adds to t unless the mask holds its crossing's
+  other channel (`Step.sibling`).  A walk closes only at an even length of
+  at least 4 (9); there the closing pair is tested for 5 and 6, property 8
+  is read from the punctures of its steps' P/S skeleton, 7 from the
   skeleton (saddles present, at most one cyclic P-to-S block start) and 11
   from the letters of an all-puncture walk of at least 8 letters.  No
   other walk is a power: a power with a saddle uses its channel twice (2),
   and in a walk that survives the follow lists a period of 1, of 2 or an
   odd one would put one arc twice in a row, as no two arcs join the same
   two faces.  Each property a closed walk breaks is tallied once, as
-  `check_word` tallies it, as is each selection the assembly rejects:
-  the tallies, like `visited`, count the walks made, not distinct words.
-  Walks and selections keep their state on explicit stacks, so no genus
-  meets the recursion limit.
+  `check_word` tallies it, as is each selection the assembly rejects: the
+  tallies, like `visited`, count the walks made, not distinct words.  Walks
+  and selections keep their state on explicit stacks, so no genus meets
+  the recursion limit.
 
 A configuration stores its plus sphere only (`Configuration`).  Each word
-is canonical when it is generated: PPPP words are built so, the others
-canonicalized once and deduped through a set; `make_configuration` only
-sorts them.  The genus-2 enumerators count their rows (a PPPP word's pair
-of middles; a PSPS pair's canonical tuples) and build them into words and
-configurations only when those are first read (`EnumerationResult`), so a
-`report` or `bounds` row, which reads only the counts, builds no word and
-no configuration.
+is canonical when it is generated: PPPP words are built so; the PSPS walker
+and the general search keep each clean walk as its canonical
+(letters, faces) (`canonical_form`) in a set, and build one `CurveWord`
+per distinct word; the oracle canonicalizes each clean walk.
+`make_configuration` only sorts them.  The genus-2 enumerators count their
+rows (a PPPP word's pair of middles; a PSPS pair's canonical tuples) and
+build them into words and configurations only when those are first read
+(`EnumerationResult`), so a `report` or `bounds` row, which reads only the
+counts, builds no word and no configuration.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -153,7 +155,6 @@ from .words import (
 
 __all__ = [
     "DEFAULT_GUARD_CAP",
-    "EnumerationBudget",
     "EnumerationResult",
     "budgets",
     "enumerate_pppp",
@@ -167,24 +168,11 @@ __all__ = [
 DEFAULT_GUARD_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """The genus of a general search, the one thing the search reads.
-
-    The genus-g identity (module docstring) decides every other limit, and
-    the tests check those on the search's output.  The class stays only
-    because the benchmark builds one through `budgets`; both go once the
-    benchmark passes the genus itself.
-    """
-
-    genus: int
-
-
-def budgets(genus: int) -> EnumerationBudget:
-    """The genus-g search; ValueError below genus 2."""
+def budgets(genus: int) -> int:
+    """The genus, checked: ValueError below genus 2, where splitting surfaces start."""
     if genus < 2:
         raise ValueError(f"splitting surfaces start at genus 2, got {genus}")
-    return EnumerationBudget(genus)
+    return genus
 
 
 _FAMILIES = ("pppp", "psps_pair", "other")
@@ -400,25 +388,22 @@ def _adjacent_fault(a: Step, b: Step) -> int | None:
     return 5 if a.kind == "P" and a.letter == b.letter else None
 
 
-def _closing_faults(frame: tuple, start: int) -> tuple[set[int], CurveWord | None]:
-    """The properties a closed walk breaks (module docstring), and its word
-    if the property-11 test spelled it, else None."""
-    last, _, first, _, _, kinds = frame
+def _closing_faults(path: tuple[Step, ...]) -> set[int]:
+    """The properties a closed walk breaks (module docstring)."""
+    kinds = "".join([m.kind for m in path])
     p = kinds.count("P")
-    faults, word = set(), None
-    fault = _adjacent_fault(last, first)
+    faults = set()
+    fault = _adjacent_fault(path[-1], path[0])
     if fault is not None:
         faults.add(fault)
     if p < len(kinds):
         if (kinds + kinds[0]).count("PS") <= 1:
             faults.add(7)
-    elif p >= 8:  # all punctures; no other walk is a power (module docstring)
-        word = _frame_word(frame, start)
-        if is_proper_power(word.letters):
-            faults.add(11)
+    elif p >= 8 and is_proper_power(tuple([m.letter for m in path])):
+        faults.add(11)  # all punctures; no other walk is a power (module docstring)
     if p < 2:
         faults.add(8)
-    return faults, word
+    return faults
 
 
 def _general_words(
@@ -431,50 +416,35 @@ def _general_words(
     # the steps that may follow each step: none that breaks 5 or 6 with it
     follow = {m: [n for n in g.steps[m.dest] if _adjacent_fault(m, n) is None]
               for out in g.steps.values() for m in out}
-    seen: set[CurveWord] = set()
+    seen: set[tuple] = set()  # canonical (letters, faces)
 
     for start in g.nodes:
-        # the first step leaves the lesser face of its letter (the start rule)
-        rising = [m for m in g.steps[start] if m.dest > start]
-        # A frame is a partial walk: its last step, the frame before it, its
-        # first step, its p + t, its used-channel mask and its P/S skeleton.
-        # The root frame is the empty walk at `start`.
-        stack = [(None, None, None, 0, 0, "")]
+        # A frame is a partial walk: its steps, its p + t and its
+        # used-channel mask.  Its first step leaves the lesser face of its
+        # letter (the start rule), at p + t = 1 under any cap.
+        guard.tick()  # the empty walk at `start`
+        stack = [((m,), 1, m.bit) for m in g.steps[start] if m.dest > start]
         while stack:
-            frame = stack.pop()
-            last, _, first, pt, used, kinds = frame
+            path, pt, used = stack.pop()
             guard.tick()
-            length = len(kinds)
-            if length >= 4 and length % 2 == 0 and last.dest == start:
-                faults, word = _closing_faults(frame, start)
+            last = path[-1]
+            if len(path) >= 4 and len(path) % 2 == 0 and last.dest == start:
+                faults = _closing_faults(path)
                 _tally(diagnostics, faults)
-                if not faults:
-                    seen.add(canonicalize(word or _frame_word(frame, start)))
-            for m in rising if last is None else follow[last]:
+                if not faults:  # its face trace begins at `start`
+                    seen.add(canonical_form(tuple([m.letter for m in path]),
+                                            tuple([start] + [m.dest for m in path[:-1]])))
+            first = path[0].letter
+            for m in follow[last]:
                 if used & m.bit:
                     continue  # property 2
                 grown = pt if used & m.sibling else pt + 1  # 0 at a touched crossing
                 if grown > cap:
                     continue  # the walk cap
-                if first is not None and m.letter < first.letter:
+                if m.letter < first:
                     continue  # the walk from a least letter finds this word
-                stack.append((m, frame, first or m, grown, used | m.bit, kinds + m.kind))
-    return sorted(seen)
-
-
-def _frame_word(frame: tuple, start: int) -> CurveWord:
-    """The word a closed walk spells, its face trace beginning at `start`."""
-    # built from lists, not generators: a tuple grown from a generator is
-    # resized, so when freed it joins the free list of another size, and
-    # each word would leave a tuple behind until those lists are full
-    letters, faces = [], []
-    while frame[0] is not None:
-        letters.append(frame[0].letter)
-        frame = frame[1]
-        faces.append(start if frame[0] is None else frame[0].dest)
-    letters.reverse()
-    faces.reverse()
-    return CurveWord(tuple(letters), tuple(faces))
+                stack.append((path + (m,), grown, used | m.bit))
+    return [CurveWord(*w) for w in sorted(seen)]
 
 
 def _components(words) -> int:
@@ -497,17 +467,17 @@ def _components(words) -> int:
 
 def enumerate_general(
     g: AugmentedDualGraph,
-    budget: EnumerationBudget,
+    genus: int,
     guard_cap: int = DEFAULT_GUARD_CAP,
 ) -> EnumerationResult:
-    """Every connected genus-g configuration, g = `budget.genus` (module docstring).
+    """Every connected genus-g configuration, g = `genus` (module docstring).
 
-    The genus alone decides which words and selections are kept.  Past
-    `guard_cap` visited partial walks and selections, GuardAbort is raised.
-    A kept configuration breaking chi - p = 2 - 2g raises
-    EulerInconsistencyError.
+    The genus alone decides which words and selections are kept; below 2
+    it raises ValueError (`budgets`).  Past `guard_cap` visited partial
+    walks and selections, GuardAbort is raised.  A kept configuration
+    breaking chi - p = 2 - 2g raises EulerInconsistencyError.
     """
-    genus = budget.genus
+    genus = budgets(genus)
     guard = _Guard(guard_cap)
     diagnostics: dict[int, int] = {}
     pool = _general_words(g, genus, guard, diagnostics)

@@ -12,7 +12,7 @@ from altcurves.bounds import (
     pppp_bound,
     psps_bound,
 )
-from altcurves.enumerators import EnumerationResult, budgets, enumerate_general, enumerate_genus2
+from altcurves.enumerators import EnumerationResult, enumerate_general, enumerate_genus2
 
 from conftest import VALID_NAMES, load_diagram, load_dual
 
@@ -85,7 +85,7 @@ def test_compare_on_empty_result():
 def test_compare_rejects_configurations_outside_the_genus2_families():
     # k4_1's four genus-3 configurations are single words of cost 8, and
     # no genus-2 cap counts their surfaces
-    result = enumerate_general(load_dual("k4_1"), budgets(3))
+    result = enumerate_general(load_dual("k4_1"), 3)
     assert result.counts["other"] == 4
     with pytest.raises(ValueError, match="4 configurations outside the genus-2 families"):
         compare(4, result)

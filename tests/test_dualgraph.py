@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from altcurves.diagram import build_diagram, parse_pd, validate
 from altcurves.dualgraph import SaddleChannel, Step, build_dual
-from altcurves.enumerators import budgets, enumerate_general, enumerate_genus2, oracle_enumerate
+from altcurves.enumerators import enumerate_general, enumerate_genus2, oracle_enumerate
 from altcurves.errors import PreconditionError
 
 from conftest import (K4_NETWORK_TERMS, VALID_NAMES, k4_network_pd, load_diagram, load_dual,
@@ -163,7 +163,7 @@ def test_step_table(name, text, monkeypatch):
     # search's partial walks grow as about n^4 on a (2,n) torus knot (593,482
     # at n = 21), so both run only up to this size
     if g.diagram.n <= 9:
-        enumerate_general(g, budgets(2))
+        enumerate_general(g, 2)
         oracle_enumerate(g, 4)
     assert made[0] == 0
 

@@ -183,14 +183,14 @@ def test_general_matches_specialized_at_genus_two():
     assert len(duals) >= 100
     for g in duals:
         spec = enumerate_genus2(g)
-        general = enumerate_general(g, budgets(2))
+        general = enumerate_general(g, 2)
         assert general.configurations == tuple(sorted(spec.configurations))
         assert general.counts == spec.counts
 
 
 def test_general_is_deterministic():
     g = load_dual("k5_2")
-    runs = [enumerate_general(g, budgets(2)) for _ in range(2)]
+    runs = [enumerate_general(g, 2) for _ in range(2)]
     serial = [
         tuple(tuple(serialize_word(w) for w in cfg.words_plus)
               for cfg in r.configurations)
@@ -210,7 +210,7 @@ def test_genus3_runs_on_trefoil():
     pool = enumerators._general_words(g, 3, guard, {})
     assert [make_configuration([w]) for w in pool] == \
         list(enumerate_pppp(g).configurations)
-    result = enumerate_general(g, budgets(3))
+    result = enumerate_general(g, 3)
     assert result.configurations == ()
     assert result.diagnostics[10] == comb(3 + 1, 2)
     assert 4 not in result.diagnostics
@@ -218,7 +218,7 @@ def test_genus3_runs_on_trefoil():
 
 def test_genus3_configurations_are_connected_genus3_surfaces():
     # k4_1 keeps four; each is one word, so connected, and meets the identity
-    result = enumerate_general(load_dual("k4_1"), budgets(3))
+    result = enumerate_general(load_dual("k4_1"), 3)
     assert result.counts == {"pppp": 0, "psps_pair": 0, "other": 4, "total": 4}
     for cfg in result.configurations:
         assert len(cfg.words_plus) == 1
@@ -252,37 +252,38 @@ def test_genus4_drops_curves_that_run_round_a_pppp_word_twice():
         pppp = [cfg.words_plus[0] for cfg in enumerate_pppp(g).configurations]
         squares = {canonicalize(CurveWord(w.letters * 2, w.faces * 2)) for w in pppp}
         assert all(_is_power(w) and check_word(g, w) == {11} for w in squares)
-        result = enumerate_general(g, budgets(4))
+        result = enumerate_general(g, 4)
         assert result.counts["total"] == total
         assert result.diagnostics[11] == len(pppp)
         assert not any(_is_power(w) for cfg in result.configurations for w in cfg.words_plus)
 
 
 def test_closed_walks_are_spelled_once(monkeypatch):
-    # An all-puncture closed walk of 8 or more letters is spelled for the
-    # property-11 test, and a kept walk to be canonicalized; a walk that is
-    # both is spelled once.  k3_1 at genus 4 has 4 such walks among 12.
-    frame_word, closing_faults = enumerators._frame_word, enumerators._closing_faults
+    # A kept walk goes into a set as its canonical (letters, faces), so the
+    # pool builds one word per distinct word, not one per closed walk.
+    # k3_1 at genus 4 closes 12 walks that are kept or tested for property
+    # 11 (all punctures, 8 letters or more), 4 of them both.
+    closing_faults, curve_word = enumerators._closing_faults, enumerators.CurveWord
     calls = Counter()
 
-    def counting_frame_word(frame, start):
-        calls["spelled"] += 1
-        return frame_word(frame, start)
+    def counting_closing_faults(path):
+        faults = closing_faults(path)
+        tested = len(path) >= 8 and all(m.kind == "P" for m in path)
+        calls["walks"] += tested or not faults
+        calls["both"] += tested and not faults
+        return faults
 
-    def counting_closing_faults(frame, start):
-        faults, word = closing_faults(frame, start)
-        kinds = frame[5]
-        tested, kept = "S" not in kinds and len(kinds) >= 8, not faults
-        calls["walks"] += tested or kept
-        calls["both"] += tested and kept
-        return faults, word
+    def counting_curve_word(letters, faces):
+        calls["words"] += 1
+        return curve_word(letters, faces)
 
-    monkeypatch.setattr(enumerators, "_frame_word", counting_frame_word)
     monkeypatch.setattr(enumerators, "_closing_faults", counting_closing_faults)
-    result = enumerate_general(load_dual("k3_1"), budgets(4))
-    assert result.counts["total"] == 3
-    assert calls["both"] == 4
-    assert calls["spelled"] <= calls["walks"] == 12
+    monkeypatch.setattr(enumerators, "CurveWord", counting_curve_word)
+    g = load_dual("k3_1")
+    pool = enumerators._general_words(g, 4, enumerators._Guard(enumerators.DEFAULT_GUARD_CAP), {})
+    assert (calls["walks"], calls["both"]) == (12, 4)
+    assert calls["words"] == len(pool)
+    assert enumerate_general(g, 4).counts["total"] == 3
 
 
 def test_each_word_is_walked_one_way(monkeypatch):
@@ -291,23 +292,25 @@ def test_each_word_is_walked_one_way(monkeypatch):
     # directions does at each occurrence.  So a pool word closes at least
     # once, and at most once per occurrence of its least letter; a search
     # that walked both ways would close each word twice that often.
+    canonical_form = enumerators.canonical_form
     closes = Counter()
 
-    def counting_canonicalize(word):
-        canonical = canonicalize(word)
+    def counting_canonical_form(letters, faces):
+        canonical = canonical_form(letters, faces)
         closes[canonical] += 1
         return canonical
 
-    monkeypatch.setattr(enumerators, "canonicalize", counting_canonicalize)
+    monkeypatch.setattr(enumerators, "canonical_form", counting_canonical_form)
     for name in ("hopf", "k3_1", "k4_1", "borromean"):
         g = load_dual(name)
         for genus in (3, 4):
             closes.clear()
             guard = enumerators._Guard(enumerators.DEFAULT_GUARD_CAP)
             pool = enumerators._general_words(g, genus, guard, {})
-            assert sorted(closes) == pool, (name, genus)
+            assert sorted(closes) == [(w.letters, w.faces) for w in pool], (name, genus)
             for w in pool:
-                assert 1 <= closes[w] <= w.letters.count(min(w.letters)), (name, genus, w)
+                assert 1 <= closes[w.letters, w.faces] <= w.letters.count(min(w.letters)), \
+                    (name, genus, w)
 
 
 def test_identity_breach_is_an_internal_fault(monkeypatch):
@@ -315,13 +318,13 @@ def test_identity_breach_is_an_internal_fault(monkeypatch):
     # so only a broken Euler count can reach the raise
     monkeypatch.setattr(enumerators, "euler_crosscheck", lambda cfg: 99)
     with pytest.raises(EulerInconsistencyError, match="genus-3"):
-        enumerate_general(load_dual("k4_1"), budgets(3))
+        enumerate_general(load_dual("k4_1"), 3)
 
 
 def test_guard_abort_carries_stats():
     g = load_dual("k3_1")
     with pytest.raises(GuardAbort) as err:
-        enumerate_general(g, budgets(9), guard_cap=5000)
+        enumerate_general(g, 9, guard_cap=5000)
     assert err.value.cap == 5000
     assert err.value.visited > 5000
     assert "partial walks" in str(err.value)
@@ -341,7 +344,7 @@ def test_assembly_depth_is_not_bounded_by_the_stack(monkeypatch):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
-        result = enumerate_general(g, budgets(402))
+        result = enumerate_general(g, 402)
     finally:
         sys.setrecursionlimit(limit)
     assert result.configurations == ()
@@ -353,6 +356,11 @@ def test_assembly_depth_is_not_bounded_by_the_stack(monkeypatch):
 def test_budgets_start_at_genus_two():
     with pytest.raises(ValueError, match="genus 2"):
         budgets(1)
+
+
+def test_general_search_starts_at_genus_two():
+    with pytest.raises(ValueError, match="genus 2"):
+        enumerate_general(load_dual("k3_1"), 1)
 
 
 # ----------------------------------------------------------------------------
@@ -914,7 +922,7 @@ def test_general_search_equals_check_word_reference(name, genus, search, monkeyp
         assert tuple(sorted(result.configurations)) == expected
         assert checked == []
         return
-    result = enumerate_general(g, budgets(genus))
+    result = enumerate_general(g, genus)
     # the start rule loses no word within the walk cap p + t <= 2g, and the
     # cap and the assembly lose no configuration: those are what the
     # reference assembles from all its words; walk counts and tallies
@@ -941,7 +949,7 @@ def test_walk_cap_is_attained(name):
     # reaches 2g, so a cap one lower would lose configurations.
     g = load_dual(name)
     for genus in (2, 3):
-        result = enumerate_general(g, budgets(genus))
+        result = enumerate_general(g, genus)
         weights = [_walk_weight(w) for cfg in result.configurations for w in cfg.words_plus]
         assert max(weights) == 2 * genus, (name, genus)
 
@@ -954,7 +962,7 @@ def test_kept_configurations_meet_the_identity_limits():
     cases = [(name, genus) for genus in (2, 3) for name in VALID_NAMES]
     cases += [(name, 4) for name in VALID_NAMES if load_dual(name).diagram.n <= 6]
     for name, genus in cases:
-        result = enumerate_general(load_dual(name), budgets(genus))
+        result = enumerate_general(load_dual(name), genus)
         for cfg in result.configurations:
             assert len(cfg.words_plus) <= 2 * genus - 2, (name, genus)
             assert cfg.p <= 4 * genus - 4, (name, genus)

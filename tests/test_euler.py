@@ -3,7 +3,7 @@
 import pytest
 
 from altcurves.dualgraph import SaddleChannel
-from altcurves.enumerators import budgets, enumerate_general, enumerate_genus2
+from altcurves.enumerators import enumerate_general, enumerate_genus2
 from altcurves.euler import euler_crosscheck
 from altcurves.words import Configuration, CurveWord, Letter
 
@@ -30,7 +30,7 @@ def test_saddle_corners_fill_vertices():
     # At genus 3, k4_1 keeps single words of up to 4 saddles, and borromean
     # also keeps 4-word configurations whose saddles stack two high.
     runs = [enumerate_genus2(load_dual(name)) for name in VALID_NAMES]
-    runs += [enumerate_general(load_dual(name), budgets(3)) for name in ("k4_1", "borromean")]
+    runs += [enumerate_general(load_dual(name), 3) for name in ("k4_1", "borromean")]
     for result in runs:
         assert result.configurations
         for cfg in result.configurations:

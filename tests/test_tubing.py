@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from altcurves.enumerators import budgets, classify_family, enumerate_general, enumerate_genus2
+from altcurves.enumerators import classify_family, enumerate_general, enumerate_genus2
 from altcurves.tubing import configuration_tubing_count, count_tubings
 
 from conftest import (VALID_NAMES, PunctureCircle, TubingPlan, enumerate_circle_tubings,
@@ -76,7 +76,7 @@ def test_emitted_words_puncture_evenly():
     # configuration_tubing_count halves each word's punctures unchecked: a
     # puncture changes the face's checkerboard colour and a saddle keeps it
     results = [enumerate_genus2(load_dual(name)) for name in VALID_NAMES]
-    results += [enumerate_general(load_dual(name), budgets(3))
+    results += [enumerate_general(load_dual(name), 3)
                 for name in ("k4_1", "borromean")]
     words = {w for r in results for cfg in r.configurations for w in cfg.words_plus}
     assert any(w.p_count > 4 for w in words)
