@@ -123,7 +123,7 @@ def cmd_validate(args) -> int:
     for path in args.paths:
         d = _load(path)
         report = validate(d)
-        rows.append({"path": path, "crossings": d.n, "faces": len(d.faces), "ok": report.ok,
+        rows.append({"path": path, "crossings": d.n, "faces": d.face_count, "ok": report.ok,
                      "alternating": report.alternating, "reduced": report.reduced,
                      "prime": report.prime, "connected": report.connected,
                      "failures": list(report.failures)})

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import PdStructureError, PdSyntaxError, PlanarityError
 
@@ -81,18 +82,18 @@ class Face:
 
 @dataclass(frozen=True)
 class Diagram:
-    """A PD code together with its traced faces.
+    """A PD code together with the ids of its faces, 0 to `face_count` - 1.
 
     `corner_faces[4(c - 1) + k]` is the face containing corner k of crossing
     c.  `arcs` sends an arc to its two ends, in dart order, and `arc_faces`
     to the two faces it borders, lesser first.  Both are built in label
     order, and `validate` and `build_dual` rely on that order: they read
-    them without sorting.
+    them without sorting.  `faces`, the boundary walks, is traced on first read.
     """
 
     pd: PdCode
     arcs: dict[int, tuple[End, End]]
-    faces: tuple[Face, ...]
+    face_count: int
     corner_faces: tuple[int, ...]
     arc_faces: dict[int, tuple[int, int]]
 
@@ -103,6 +104,19 @@ class Diagram:
     @property
     def crossing_ids(self) -> range:
         return range(1, self.pd.n + 1)
+
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        label_of, _, mate, after = _darts(self.pd)
+        faces = []
+        for start, a in enumerate(mate):  # leaving `start` sweeps corner a
+            if self.corner_faces[a] == len(faces):  # ids follow least departures
+                walk = [start]
+                while after[walk[-1]] != start:
+                    walk.append(after[walk[-1]])
+                corners = tuple([(mate[d] // 4 + 1, mate[d] % 4) for d in walk])
+                faces.append(Face(len(faces), corners, tuple([label_of[d] for d in walk])))
+        return tuple(faces)
 
     def face_degrees(self) -> tuple[int, ...]:
         return tuple(sorted(f.degree for f in self.faces))
@@ -203,45 +217,40 @@ def _normalize(rows: list[tuple[int, int, int, int]]) -> PdCode:
 # ----------------------------------------------------------------------------
 
 
-def build_diagram(pd: PdCode) -> Diagram:
-    """Trace faces and assemble the combinatorial diagram.
-
-    Raises:
-        PlanarityError: the rotation data fails the sphere Euler check
-            (v - e + f = 2 on each connected component).
-    """
-    n = pd.n
-    label_of = [label for row in pd.crossings for label in row]  # by dart
-    first = [-1] * (2 * n + 1)  # by label: the dart where it first occurs
-    mate = [0] * (4 * n)  # by dart: the other end of its arc
+def _darts(pd: PdCode) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Label and mate by dart, first dart by label, and the next departure round a face."""
+    label_of = [label for row in pd.crossings for label in row]
+    first = [-1] * (2 * pd.n + 1)
+    mate = [0] * (4 * pd.n)
     for d, label in enumerate(label_of):
         e = first[label]
         if e < 0:
             first[label] = d
         else:
             mate[d], mate[e] = e, d
-    ends = [(c, slot) for c in range(1, n + 1) for slot in range(4)]  # by dart
-    arrival = [ends[a] for a in mate]  # by departure dart: the corner it sweeps
-    # the departure after arriving at dart a: the next slot of its crossing
-    after = [a + 1 if a % 4 != 3 else a - 3 for a in mate]
+    return label_of, first, mate, [a + 1 if a % 4 != 3 else a - 3 for a in mate]
 
-    # Orbit of "traverse the arc, then turn one slot counterclockwise",
-    # seeded in dart order so face ids are reproducible.
-    face_of = [-1] * (4 * n)  # by departure dart
-    faces: list[Face] = []
+
+def build_diagram(pd: PdCode) -> Diagram:
+    """Trace the face ids and assemble the combinatorial diagram.
+
+    Raises:
+        PlanarityError: the rotation data fails the sphere Euler check
+            (v - e + f = 2 on each connected component).
+    """
+    n = pd.n
+    _, first, mate, after = _darts(pd)
+    # Orbits of `after`, seeded in dart order so face ids are reproducible.
+    face_of, starts = [-1] * (4 * n), []  # by departure; by face, its least departure
     for start in range(4 * n):
-        if face_of[start] >= 0:
-            continue
-        fid = len(faces)
-        corners, walked = [], []
-        d = start
-        while face_of[d] < 0:
-            face_of[d] = fid
-            corners.append(arrival[d])
-            walked.append(label_of[d])
-            d = after[d]
-        faces.append(Face(fid, tuple(corners), tuple(walked)))
+        if face_of[start] < 0:
+            d = start
+            while face_of[d] < 0:
+                face_of[d] = len(starts)
+                d = after[d]
+            starts.append(start)
 
+    ends = [(c, slot) for c in range(1, n + 1) for slot in range(4)]  # by dart
     arcs = {label: (ends[d], ends[mate[d]]) for label, d in enumerate(first[1:], start=1)}
     arc_faces: dict[int, tuple[int, int]] = {}
     for label, d in enumerate(first[1:], start=1):
@@ -251,20 +260,17 @@ def build_diagram(pd: PdCode) -> Diagram:
     # Euler check runs per connected component so that split (disconnected)
     # diagrams still build and fail validation on the connected flag instead.
     # v crossings end 4v arc ends, so a component has e = 2v arcs.
-    for members, f in _components(n, mate, [face.corners[0] for face in faces]):
+    for members, f in _components(n, mate, [mate[d] // 4 + 1 for d in starts]):
         v, e = len(members), 2 * len(members)
         if v - e + f != 2:
             raise PlanarityError(f"component {members} has v-e+f = {v}-{e}+{f} != 2; "
                                  "rotation data is not a sphere diagram")
     corner_faces = tuple([face_of[d] for d in mate])  # leaving mate[a] sweeps corner a
-    return Diagram(pd, arcs, tuple(faces), corner_faces, arc_faces)
+    return Diagram(pd, arcs, len(starts), corner_faces, arc_faces)
 
 
-def _components(n: int, mate: list[int], face_corners: list[End]) -> list[list]:
-    """[crossings, face count] of each component, by least crossing.
-
-    `face_corners` holds one corner of each face.
-    """
+def _components(n: int, mate: list[int], face_crossings: list[int]) -> list[list]:
+    """[crossings, face count] of each component, by least crossing, from a crossing a face."""
     least = [0] * (n + 1)  # by crossing: the least crossing of its component
     groups: dict[int, list] = {}
     for c in range(1, n + 1):
@@ -277,7 +283,7 @@ def _components(n: int, mate: list[int], face_corners: list[End]) -> list[list]:
                         least[d // 4 + 1] = c
                         stack.append(d // 4 + 1)
         groups.setdefault(least[c], [[], 0])[0].append(c)
-    for c, _ in face_corners:
+    for c in face_crossings:
         groups[least[c]][1] += 1
     return list(groups.values())
 
@@ -313,7 +319,7 @@ def validate(d: Diagram) -> ValidationReport:
 
     # build_diagram found v - e + f = 2 on each component, with e = 2v, so
     # the components number (f - n) / 2.
-    connected = len(d.faces) == d.n + 2
+    connected = d.face_count == d.n + 2
     if not connected:
         failures.append("connected: underlying 4-valent graph is disconnected")
 

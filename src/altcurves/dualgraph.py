@@ -92,8 +92,8 @@ class AugmentedDualGraph:
     """Faces plus puncture and saddle adjacency, with deterministic ordering.
 
     `steps` maps each face to the steps leaving it: all P-steps, then all
-    S-steps, each in sorted ref order.  It is built when first read, once
-    per graph; the general search and the oracle walk it.
+    S-steps, each in sorted ref order.  `neighbours[f]` sends each face
+    across an arc from f to that arc.  Each is built when first read.
     """
 
     diagram: Diagram
@@ -117,6 +117,13 @@ class AugmentedDualGraph:
             steps[f2].append(Step(letter, f1, touches, bit, sibling))
         return dict(zip(self.nodes, map(tuple, steps)))
 
+    @cached_property
+    def neighbours(self) -> tuple[dict[int, int], ...]:
+        neighbours = tuple([{} for _ in self.nodes])
+        for arc, (f1, f2) in self.p_edges.items():
+            neighbours[f1][f2] = neighbours[f2][f1] = arc
+        return neighbours
+
     def steps_from(self, face: int) -> tuple[Step, ...]:
         """The steps leaving `face`; a face not in the graph is a ValueError."""
         if face not in self.steps:
@@ -124,7 +131,8 @@ class AugmentedDualGraph:
         return self.steps[face]
 
     def arc_crossings(self, arc: int) -> tuple[int, int]:
-        """The crossings at the two ends of an arc (equal for a loop arc)."""
+        """The crossings at the two ends of an arc.  They differ, as the PSPS count needs:
+        a loop arc's outer face meets its crossing at opposite corners, failing `reduced`."""
         (c1, _), (c2, _) = self.diagram.arcs[arc]
         return (c1, c2)
 
@@ -150,4 +158,4 @@ def build_dual(d: Diagram) -> AugmentedDualGraph:
     for c, (a0, b0, a2, b2) in enumerate(zip(corners, corners, corners, corners), start=1):
         s_edges[SaddleChannel(c, "A")] = (a0, a2) if a0 < a2 else (a2, a0)
         s_edges[SaddleChannel(c, "B")] = (b0, b2) if b0 < b2 else (b2, b0)
-    return AugmentedDualGraph(d, tuple(f.id for f in d.faces), d.arc_faces, s_edges)
+    return AugmentedDualGraph(d, tuple(range(d.face_count)), d.arc_faces, s_edges)

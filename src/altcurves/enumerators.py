@@ -14,16 +14,16 @@ Three layers, kept deliberately separate:
   filters with the public checks only; the tests quotient its families pair
   by pair and compare them with the specialized results.
 
-The genus-2 enumerators read only the graph's edges, `p_edges` and
-`s_edges`, so a genus-2 row builds no step table; the general search and
-the oracle walk the steps (`AugmentedDualGraph.steps`, built when first
-read).  Only the general search reads follow lists, the steps that may
+The genus-2 enumerators read only `s_edges` and the face-adjacency table
+(`AugmentedDualGraph.neighbours`), so a genus-2 row builds no step table;
+the general search and the oracle walk the steps (`steps`, built when
+first read).  Only the general search reads follow lists, the steps that may
 follow each step, built once per search; `_adjacent_fault` alone decides
 properties 5 and 6 for them.  No enumerator but the oracle calls
 `check_word`: each builds only clean words.
 
 * PPPP words are the 4-cycles of the face graph, whose nodes are the faces
-  and whose edges are the arcs (`p_edges`).  That graph is simple: no arc is
+  and whose edges are the arcs (`neighbours`).  That graph is simple: no arc is
   a loop, as the diagram is reduced, and no two arcs join the same two
   faces, as they would be the 2-edge cut `validate` rejects for a prime
   diagram.  So a closed walk f0, f1, f2, f3 over four arcs repeats an arc
@@ -49,27 +49,32 @@ properties 5 and 6 for them.  No enumerator but the oracle calls
   2n edges: at most 12n steps, linear in n.
 * PSPS walks are two halves, a puncture then a saddle, from the start face
   to a middle face and back; the two faces have opposite checkerboard
-  colours, so they differ.  The halves of each face pair (f, mid) are
-  indexed once by their arcs, each with its end crossings and the channels
-  from its far face to mid, so the closed walks number the sum of
-  count[f, mid] * count[mid, f] over face pairs, none of them built.  Clean
-  halves, whose channel meets neither end of the arc (`_clean`), are built
-  only for face pairs with halves both ways: first the direction with fewer
-  halves, then the other only when the first has a clean one.  A join tests
-  its two other junctions for property 6 and stands for the walk from f and
-  its rotation from mid.  Property 6 is tallied as the closed walks less the
-  clean ones, each failing walk once, as `check_word` would.  Nothing else
-  can fail: two punctures in two blocks (7, 8), length four (9), and saddles
-  joining faces of opposite checkerboard colours, so no channel twice (2)
-  and no power (11).  A clean word is kept as its canonical
-  (letters, faces), which orders as its `CurveWord` does.  Each channel set
-  C keeps its least word, and each unordered {C, flip(C)} across two
-  crossings gives one pair.  Pairs share a channel set exactly when they
-  share {C, flip(C)}, so this is the least pair of its class under "two
-  saddles determine the pair".  It is balanced (4) and has no adjacent
-  saddles (3) by construction, so it skips `check_configuration`.  On a
-  (2,n) torus knot every face pair's smaller side has at most two halves and
-  no clean one, so the PSPS work is linear in n.
+  colours, so they differ.  The halves f -> mid, an arc from f into a face
+  via then a channel from via to mid, are counted, none built: the closed
+  walks number the sum of count[f, mid] * count[mid, f] over face pairs.
+  Lemma: exactly 2 halves f -> mid are unclean, their channel's crossing
+  an end of their arc (6), if f and mid share an arc, else none.  A face
+  meets a crossing at most once (no bridge, and reduced), no arc is a loop
+  and the face graph is simple.  If an unclean half's arc is at slot k of
+  its channel's crossing c, f and via are at corners k - 1 and k of c, and
+  the channel takes via to the opposite corner, next to f's: f and mid
+  share the arc between.  Conversely, at each end c of an arc f and mid
+  share, one unclean half has its channel at c: via is opposite mid, its
+  arc between f and via.  Only a face pair with more halves than unclean
+  ones both ways builds its clean halves, each from a channel at mid and
+  one lookup in the adjacency table.  A join tests its two other junctions
+  for property 6 and stands for the walk from f and its rotation from mid.
+  Property 6 is tallied as the closed walks less the clean ones, each
+  failing walk once, as `check_word` would.  Nothing else can fail: two
+  punctures in two blocks (7, 8), length four (9), and saddles joining
+  faces of opposite checkerboard colours, so no channel twice (2) and no
+  power (11).  A clean word is kept as its canonical (letters, faces),
+  which orders as its `CurveWord` does.  Each channel set C keeps its
+  least word, and each unordered {C, flip(C)} across two crossings gives
+  one pair.  Pairs share a channel set exactly when they share {C,
+  flip(C)}, so this is the least pair of its class under "two saddles
+  determine the pair".  It is balanced (4) and has no adjacent saddles (3)
+  by construction, so it skips `check_configuration`.
 * The general search is driven by the genus-g identity.  With w plus
   words, s plus saddles and p plus punctures, chi = 2w - s/2
   (`euler_crosscheck`), so chi - p = 2 - 2g says that the costs
@@ -260,10 +265,7 @@ def _tally(diagnostics: dict[int, int], props: set[int]) -> None:
 
 def enumerate_pppp(g: AugmentedDualGraph) -> EnumerationResult:
     """All-puncture 4-letter curves: the 4-cycles of the face graph (module docstring)."""
-    across: list[list[tuple[int, int]]] = [[] for _ in g.nodes]  # (face, arc) by face
-    for arc, (f1, f2) in g.p_edges.items():
-        across[f1].append((f2, arc))
-        across[f2].append((f1, arc))
+    across = g.neighbours
     order = sorted(g.nodes, key=lambda f: (-len(across[f]), f))
     rank = [0] * len(order)
     for i, f in enumerate(order):
@@ -273,9 +275,9 @@ def enumerate_pppp(g: AugmentedDualGraph) -> EnumerationResult:
     cycles, count = [], 0  # (u, w, middles)
     for u in order:
         r, mids = rank[u], {}  # w -> its middles
-        for v, uv in across[u]:
+        for v, uv in across[u].items():
             if rank[v] > r:
-                for w, vw in across[v]:
+                for w, vw in across[v].items():
                     if rank[w] > r:
                         mids.setdefault(w, []).append((v, uv, vw))
         for w, ms in mids.items():
@@ -301,26 +303,26 @@ def enumerate_pppp(g: AugmentedDualGraph) -> EnumerationResult:
     return EnumerationResult(build, {}, families={"pppp": count})
 
 
-def _clean(halves: list[tuple]) -> list[tuple]:
-    """(arc, ends, via, channel) for each channel at neither end of its arc."""
-    return [(arc, ends, via, ch) for arc, ends, via, chs in halves for ch in chs
-            if ch.crossing not in ends]
+def _halves(g: AugmentedDualGraph, saddles: list[dict], f: int, mid: int) -> list[tuple]:
+    """(arc, its ends, via, channel) for each clean half f -> mid."""
+    arcs, halves = g.neighbours[f], []
+    for via, chs in saddles[mid].items():
+        if (arc := arcs.get(via)) is not None:  # one lookup: the arc from f to via
+            ends = g.arc_crossings(arc)
+            halves += [(arc, ends, via, ch) for ch in chs if ch.crossing not in ends]
+    return halves
 
 
 def _psps_words(g: AugmentedDualGraph, diagnostics: dict[int, int]) -> list[tuple]:
-    # halves, joins, the property-6 tally and canonical tuples: module docstring
+    # counts, the lemma, joins, the property-6 tally, canonical tuples: module docstring
     saddles: list[dict] = [{} for _ in g.nodes]  # face -> destination -> channels
     for ch, (f1, f2) in g.s_edges.items():
         saddles[f1].setdefault(f2, []).append(ch)
         saddles[f2].setdefault(f1, []).append(ch)
-    halves: list[dict] = [{} for _ in g.nodes]  # from -> to -> [(arc, ends, via, channels)]
     counts: list[dict] = [{} for _ in g.nodes]  # from -> to -> halves
-    for ((c1, _), (c2, _)), (arc, (f1, f2)) in zip(g.diagram.arcs.values(), g.p_edges.items()):
-        ends = (c1, c2)
-        for f, via in ((f1, f2), (f2, f1)):  # over the arc into `via`, then a channel
-            out, count = halves[f], counts[f]
+    for count, out in zip(counts, g.neighbours):
+        for via in out:  # over an arc into `via`, then a channel
             for mid, chs in saddles[via].items():
-                out.setdefault(mid, []).append((arc, ends, via, chs))
                 count[mid] = count.get(mid, 0) + len(chs)
 
     walks, passed, seen = 0, 0, set()
@@ -328,12 +330,11 @@ def _psps_words(g: AugmentedDualGraph, diagnostics: dict[int, int]) -> list[tupl
         for mid, k in count.items():
             back = counts[mid].get(f, 0)
             walks += k * back
-            if not back or (back, mid) < (k, f):
-                continue  # each face pair once, from its smaller side
-            firsts = _clean(halves[f][mid])
-            if not firsts:
-                continue
-            for a2, ends2, m2, s2 in _clean(halves[mid][f]):
+            unclean = 2 if mid in g.neighbours[f] else 0  # each way, by the lemma
+            if mid < f or k == unclean or back == unclean:
+                continue  # each face pair once, and only with clean halves both ways
+            firsts = _halves(g, saddles, f, mid)
+            for a2, ends2, m2, s2 in _halves(g, saddles, mid, f):
                 for a1, ends1, m1, s1 in firsts:
                     if s1.crossing not in ends2 and s2.crossing not in ends1:
                         passed += 2  # the walk from f, and its rotation from mid

@@ -168,6 +168,24 @@ def test_step_table(name, text, monkeypatch):
     assert made[0] == 0
 
 
+@pytest.mark.parametrize("name,text", STEP_TABLE_CASES, ids=[c[0] for c in STEP_TABLE_CASES])
+def test_neighbour_table(name, text):
+    # built on first read, once per graph: by face, each face across an arc
+    # to that arc, in the order of the face's P-steps, which is label order
+    g = load_dual(name) if text is None else _relabelled_dual(text, 1)
+    assert "neighbours" not in vars(g)
+    table = g.neighbours
+    assert g.neighbours is table
+    for f in g.nodes:
+        assert list(table[f].items()) == [(s.dest, s.ref) for s in g.steps[f] if s.kind == "P"]
+    result = enumerate_genus2(g)
+    assert result.counts["pppp"] > 0 and result.diagnostics
+    # both genus-2 walkers take the faces' adjacency from this table alone
+    g.__dict__["neighbours"] = tuple({} for _ in g.nodes)
+    result = enumerate_genus2(g)
+    assert result.counts["total"] == 0 and result.diagnostics == {}
+
+
 def test_arc_crossings():
     g = load_dual("k3_1")
     for arc, (e1, e2) in g.diagram.arcs.items():

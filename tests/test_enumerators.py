@@ -1,5 +1,6 @@
 """Enumeration: specialized families, general search, oracle agreement."""
 
+import hashlib
 import inspect
 import random
 import sys
@@ -7,6 +8,7 @@ from collections import Counter
 from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from altcurves import cli, enumerators
 from altcurves.bounds import compare
-from altcurves.diagram import build_diagram, parse_pd, validate
+from altcurves.diagram import Face, build_diagram, parse_pd, validate
 from altcurves.dualgraph import SaddleChannel, Step, build_dual
 from altcurves.enumerators import (
     budgets,
@@ -38,7 +40,7 @@ from altcurves.words import (
     serialize_word,
 )
 
-from conftest import (TORUS_NAMES, VALID_NAMES, fixture_text, glued_complex,
+from conftest import (TORUS_NAMES, VALID_NAMES, fixture_path, fixture_text, glued_complex,
                       has_consecutive_saddles, k4_network_pd, load_dual, mirror_pd,
                       pairwise_puncture_reps, pairwise_saddle_reps, pretzel_pd, relabel,
                       shares_three_arcs, two_bridge_pd)
@@ -570,13 +572,13 @@ def test_mirror_keeps_genus2_family_counts(name, text):
 
 
 def test_genus2_fault_tests_grow_with_the_output(monkeypatch):
-    # on (2,n) torus knots the output grows as n^2, 3.8 times from n = 21 to
-    # n = 41, and the PSPS work should grow no faster than n.  The genus-2
-    # enumerators read no follow list, so `_adjacent_fault` is never called:
-    # PPPP words are 4-cycles of the face graph, and PSPS halves test their
-    # one junction in `_clean`.  Each face pair with halves both ways builds
-    # its smaller side first: here two halves, neither clean, so the larger
-    # side is never built and nothing is joined.
+    # On (2,n) torus knots the output grows as n^2, 3.8 times from n = 21 to
+    # n = 41, and the genus-2 work should grow no faster than n.  The genus-2
+    # enumerators read no follow list, so `_adjacent_fault` is never called.
+    # Each face pair with halves both ways shares an arc and has two halves
+    # one way, both unclean by the lemma (`enumerators` docstring), so no
+    # half is built and nothing is joined.  The work counted is the entries
+    # both walkers read from the face-adjacency table.
     faults = [0]
     real_fault = enumerators._adjacent_fault
 
@@ -584,32 +586,40 @@ def test_genus2_fault_tests_grow_with_the_output(monkeypatch):
         faults[0] += 1
         return real_fault(a, b)
 
-    tested, kept = [0], [0]
-    real_clean = enumerators._clean
+    reads = [0]
 
-    def counting_clean(halves):
-        clean = real_clean(halves)
-        tested[0] += sum(len(chs) for _, _, _, chs in halves)
-        kept[0] += len(clean)
-        return clean
+    class CountingDict(dict):
+        def __iter__(self):
+            reads[0] += len(self)
+            return super().__iter__()
+
+        def items(self):
+            reads[0] += len(self)
+            return super().items()
+
+        def __contains__(self, key):
+            reads[0] += 1
+            return super().__contains__(key)
+
+        def get(self, key, default=None):
+            reads[0] += 1
+            return super().get(key, default)
 
     monkeypatch.setattr(enumerators, "_adjacent_fault", counting_fault)
-    monkeypatch.setattr(enumerators, "_clean", counting_clean)
-    joins = _count_calls(monkeypatch, enumerators.canonical_form)
+    calls = _count_calls(monkeypatch, enumerators._halves, enumerators.canonical_form)
     made = {}
     for n in (21, 41):
         g = _torus_dual(n)
-        faults[0] = tested[0] = kept[0] = 0
-        joins.clear()
+        g.__dict__["neighbours"] = tuple(map(CountingDict, g.neighbours))
+        faults[0] = reads[0] = 0
+        calls.clear()
         result = enumerate_genus2(g)
         assert result.counts["pppp"] == comb(n, 2)
         assert result.diagnostics == {6: 8 * n * n}
         assert faults[0] == 0
-        # 4n halves tested, none of them clean, and no join
-        assert (tested[0], kept[0]) == (4 * n, 0)
-        assert not joins
-        made[n] = tested[0]
-    assert made[41] <= 2.2 * made[21]
+        assert not calls  # no half built, no join
+        made[n] = reads[0]
+    assert 0 < made[41] <= 2.2 * made[21]
 
 
 def _count_calls(monkeypatch, *fns) -> Counter:
@@ -685,8 +695,9 @@ def test_genus2_counts_build_no_psps_word(monkeypatch):
 
 
 def test_genus2_rows_build_no_step(monkeypatch, tmp_path, capsys):
-    # The genus-2 enumerators read only `p_edges` and `s_edges`, so neither
-    # a genus-2 count nor a `report` row builds the step table.
+    # The genus-2 enumerators read only `s_edges` and the face-adjacency
+    # table, so neither a genus-2 count nor a `report` row builds the step
+    # table.
     made = [0]
     real_init = Step.__init__
 
@@ -701,6 +712,38 @@ def test_genus2_rows_build_no_step(monkeypatch, tmp_path, capsys):
     assert cli.main(["report", _torus_path(tmp_path, 41), "--format", "csv"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
     assert made[0] == 0
+
+
+def test_rows_build_no_face(monkeypatch, tmp_path, capsys):
+    # `build_diagram` traces face ids only; the boundary walks wait for
+    # `Diagram.faces`, which neither a `report` row nor the general search
+    # reads.  Rendering and `face_degrees` read them, with the same output.
+    made = [0]
+    real_init = Face.__init__
+
+    def counting_init(self, *args):
+        made[0] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(Face, "__init__", counting_init)
+    torus = _torus_path(tmp_path, 41)
+    assert cli.main(["report", torus, "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert cli.main(["enumerate", str(fixture_path("k4_1")), "--genus", "3"]) == 0
+    assert made[0] == 0
+    capsys.readouterr()
+    # the SVGs and degrees the package gave when `build_diagram` built the faces
+    for path, svg, degrees in (
+            (str(fixture_path("k4_1")),
+             "e734eb78595cca34f72e21f7adb379828a9c85ec6180f31c9aef476eccbabebd",
+             (2, 2, 3, 3, 3, 3)),
+            (torus, "3eb6d09b847d7131f06b594355a063d891503a8bc0f27d65b146d0cee9cc2b81",
+             (2,) * 41 + (41, 41))):
+        assert cli.main(["render", "--config", "0", path]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == svg
+        d = build_diagram(parse_pd(Path(path).read_text(encoding="utf-8")))
+        assert d.face_degrees() == degrees
+        assert len(d.faces) == d.face_count == d.n + 2
 
 
 def _family_count_duals():
